@@ -37,7 +37,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--full", action="store_true", help="run the canonical 36-point grid")
     ap.add_argument("--epochs", type=int, default=3)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", type=Path, default=Path("runs/sweep_demo"))
     args = ap.parse_args()
 
@@ -54,8 +53,7 @@ def main() -> int:
     grid = full_grid() if args.full else demo_grid()
     t0 = time.time()
     rep = run_grid(cfg, params, rte, tokenizer, train_ex, dev_ex, test_ex,
-                   grid=grid, seq_len=32, epochs=args.epochs, batch_size=16,
-                   threads=args.threads)
+                   grid=grid, seq_len=32, epochs=args.epochs, batch_size=16)
     dt = time.time() - t0
 
     print(f"{len(rep.runs)} runs over {len(rep.configs)} configs in {dt:.0f}s "
@@ -70,8 +68,8 @@ def main() -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "metrics_report.json").write_text(rep.to_json(), encoding="utf-8")
-    (args.out / "summary.csv").write_text(report_csv_summary([rep], "tiny-demo"),
-                                          encoding="utf-8")
+    summary = report_csv_summary([(rep.task, rep.reported_test_score)], "tiny-demo")
+    (args.out / "summary.csv").write_text(summary, encoding="utf-8")
     print(f"artifacts in {args.out}/")
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -38,8 +37,6 @@ def _add_common(p: _Parser):
     p.add_argument("--config", type=Path, default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
     p.add_argument("--out", type=Path, default=None, help="output directory (default .)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="internal parallelism (default $LUSOFORGE_THREADS or 1)")
 
 
 def _load_config_file(path: Path | None) -> dict:
@@ -70,15 +67,6 @@ def _resolve_fields(args, file_cfg: dict, defaults: dict) -> dict:
             source = "default"
         log.info("config %s=%r (%s)", name, resolved[name], source)
     return resolved
-
-
-def _threads(args, file_cfg: dict) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    if "threads" in file_cfg:
-        return int(file_cfg["threads"])
-    env = os.environ.get("LUSOFORGE_THREADS")
-    return int(env) if env else 1
 
 
 def _out_dir(args) -> Path:
@@ -170,7 +158,6 @@ def _cmd_corpus_filter(args) -> int:
         near_dup_jaccard=float(fields["near_dup_jaccard"]),
         near_dup_ngram=int(fields["near_dup_ngram"]),
         thresholds=thresholds,
-        threads=_threads(args, file_cfg),
     )
     docs = corpus_mod.read_jsonl(args.input)
     kept, report = corpus_mod.run_pipeline(docs, config)
@@ -259,10 +246,6 @@ def _task_spec(name: str) -> ft.TaskSpec:
     return ft.TASKS[name]
 
 
-def _load_split(path, spec, split):
-    return ft.read_task_tsv(path, spec, split=split)
-
-
 def _cmd_finetune(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _seed(args, file_cfg)
@@ -276,9 +259,9 @@ def _cmd_finetune(args) -> int:
                       precision=str(fields["precision"]), seed=seed)
     enc_config, arrays, _ = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    train_ex = _load_split(args.train, spec, "train")
+    train_ex = ft.read_task_tsv(args.train, spec, "train")
     if args.dev:
-        dev_ex = _load_split(args.dev, spec, "dev")
+        dev_ex = ft.read_task_tsv(args.dev, spec, "dev")
     else:
         train_ex, dev_ex = ft.split_train_dev(train_ex, float(fields["dev_fraction"]), seed)
     model = ft.attach_head(enc_config, params_from_arrays(arrays), spec.head_type,
@@ -322,12 +305,12 @@ def _cmd_sweep(args) -> int:
     })
     enc_config, arrays, _ = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    train_ex = _load_split(args.train, spec, "train")
+    train_ex = ft.read_task_tsv(args.train, spec, "train")
     if args.dev:
-        dev_ex = _load_split(args.dev, spec, "dev")
+        dev_ex = ft.read_task_tsv(args.dev, spec, "dev")
     else:
         train_ex, dev_ex = ft.split_train_dev(train_ex, float(fields["dev_fraction"]), seed)
-    test_ex = _load_split(args.test, spec, "test")
+    test_ex = ft.read_task_tsv(args.test, spec, "test")
     if fields["grid"] == "full":
         grid = ft.full_grid()
     elif fields["grid"] == "quick":
@@ -337,12 +320,12 @@ def _cmd_sweep(args) -> int:
     report = ft.run_grid(enc_config, params_from_arrays(arrays), spec, tokenizer,
                          train_ex, dev_ex, test_ex, grid=grid,
                          seq_len=int(fields["seq_len"]), epochs=int(fields["epochs"]),
-                         batch_size=int(fields["batch_size"]),
-                         threads=_threads(args, file_cfg))
+                         batch_size=int(fields["batch_size"]))
     report_path = out / "metrics_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
     summary_path = out / "summary.csv"
-    summary_path.write_text(ft.report_csv_summary([report]), encoding="utf-8")
+    summary_path.write_text(
+        ft.report_csv_summary([(report.task, report.reported_test_score)]), encoding="utf-8")
     man = _manifest("sweep", {**fields, "task": spec.name}, seed)
     for p in (args.checkpoint, args.tokenizer, args.train, args.test):
         man.add_input(p)
@@ -352,6 +335,8 @@ def _cmd_sweep(args) -> int:
     man.add_output(summary_path)
     man.write(out / "manifest.json")
     sel = report.selected_config
+    if sel is None:
+        raise DataError(f"all {report.n_failed} runs failed; first error: {report.runs[0].error}")
     print(f"{len(report.runs)} runs, {len(report.configs)} configs, "
           f"{report.n_failed} failed; selected {sel}; "
           f"test {spec.metric} {report.reported_test_score}")
@@ -365,7 +350,7 @@ def _cmd_eval(args) -> int:
     spec = _task_spec(args.task)
     enc_config, arrays, meta = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    examples = _load_split(args.data, spec, "test")
+    examples = ft.read_task_tsv(args.data, spec, "test")
     model = ft.load_task_model(enc_config, arrays, meta.get("head_type", spec.head_type))
     encoded, labels = ft._encode_examples(examples, tokenizer, args.seq_len or 128)
     preds = ft.predict(model, encoded, label_range=spec.label_range)
@@ -405,10 +390,8 @@ def _cmd_report(args) -> int:
             payload = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read metrics report {args.metrics}: {e}") from e
-        task = payload.get("task", "task")
-        value = payload.get("reported_test_score")
-        text = f"model,{task}\nencoder,{'' if value is None else repr(value)}\n"
-        (out / "summary.csv").write_text(text, encoding="utf-8")
+        pair = (payload.get("task", "task"), payload.get("reported_test_score"))
+        (out / "summary.csv").write_text(ft.report_csv_summary([pair]), encoding="utf-8")
         man.add_input(args.metrics)
         man.add_output(out / "summary.csv")
         print(f"summary -> {out / 'summary.csv'}")

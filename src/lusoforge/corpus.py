@@ -3,8 +3,7 @@
 Stages are pure per-document functions chained in a fixed order (TLD ->
 exact dedup -> optional near-dup -> quality). Every rejected document gets
 exactly one reason, the first stage that fails it; kept documents come out
-in input order. Quality checks may run on a thread pool, but results are
-merged back in order so --threads never changes outputs.
+in input order.
 
 The quality chain evaluates word-repetition before character-repetition:
 heavy word-level repetition trips both ratios, and the word-level reason is
@@ -17,13 +16,12 @@ import json
 import math
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
-from lusoforge.errors import DataError
+from lusoforge.errors import DataError, UsageError
 
 SOURCES = ("OSCAR", "DCEP", "Europarl", "ParlamentoPT", "OTHER")
 _URL_TOKEN = re.compile(r"https?://|www\.", re.IGNORECASE)
@@ -65,7 +63,6 @@ class PipelineConfig:
     near_dup_jaccard: float = 0.8
     near_dup_ngram: int = 5
     thresholds: QualityThresholds = field(default_factory=QualityThresholds)
-    threads: int = 1
 
 
 @dataclass
@@ -160,12 +157,6 @@ def tld_reason(doc: Document, country_code: str) -> str | None:
     return None if host.lower().endswith("." + country_code.lower()) else "tld"
 
 
-def filter_by_tld(docs: Sequence[Document], country_code: str) -> list[Document]:
-    if len(country_code) != 2 or not country_code.isalpha():
-        raise ValueError(f"country code must be two letters, got {country_code!r}")
-    return [d for d in docs if tld_reason(d, country_code) is None]
-
-
 def content_hash(text: str) -> int:
     """64-bit digest of whitespace-collapsed text."""
     import hashlib
@@ -251,21 +242,13 @@ def quality_reason(doc: Document, t: QualityThresholds | None = None) -> str | N
     return None
 
 
-def ordered_parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Apply fn to every item, possibly on a pool, preserving input order."""
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # pipeline and stats
 
 
-def _apply_stage(docs: list[Document], name: str, reason_fn, threads: int,
+def _apply_stage(docs: list[Document], name: str, reason_fn,
                  report: FilterReport) -> list[Document]:
-    reasons = ordered_parallel_map(reason_fn, docs, threads)
+    reasons = [reason_fn(d) for d in docs]
     stage = StageReport(name=name, input=len(docs), kept=0)
     kept: list[Document] = []
     for doc, reason in zip(docs, reasons):
@@ -290,9 +273,8 @@ def run_pipeline(docs: Sequence[Document], config: PipelineConfig | None = None,
     if config.country_code:
         cc = config.country_code
         if len(cc) != 2 or not cc.isalpha():
-            raise ValueError(f"country code must be two letters, got {cc!r}")
-        current = _apply_stage(current, "tld", lambda d: tld_reason(d, cc),
-                               config.threads, report)
+            raise UsageError(f"country code must be two letters, got {cc!r}")
+        current = _apply_stage(current, "tld", lambda d: tld_reason(d, cc), report)
 
     if config.deduplicate:
         stage = StageReport(name="dedup", input=len(current), kept=0)
@@ -328,8 +310,7 @@ def run_pipeline(docs: Sequence[Document], config: PipelineConfig | None = None,
         current = kept
 
     current = _apply_stage(current, "quality",
-                           lambda d: quality_reason(d, config.thresholds),
-                           config.threads, report)
+                           lambda d: quality_reason(d, config.thresholds), report)
 
     report.kept_count = len(current)
     report.sources = source_stats(current, tokenizer)

@@ -152,6 +152,12 @@ def init_params(config: EncoderConfig, rng: np.random.Generator, dtype=np.float3
     return p
 
 
+def is_emd_param(name: str) -> bool:
+    """True for tensors that only masked-token prediction reads: the
+    absolute-position table and the enhanced-mask-decoder layers."""
+    return name == "abspos.table" or name.startswith("emd")
+
+
 # ---------------------------------------------------------------------------
 # attention
 

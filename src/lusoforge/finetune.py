@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import warnings
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 from typing import Callable, Sequence
@@ -26,9 +25,8 @@ from lusoforge import autodiff as ad
 from lusoforge import metrics as met
 from lusoforge import tokenizer as tok_mod
 from lusoforge.autodiff import Tensor
-from lusoforge.encoder import DisentangledEncoder, EncoderConfig
+from lusoforge.encoder import DisentangledEncoder, EncoderConfig, is_emd_param
 from lusoforge.errors import DataError
-from lusoforge.pretrain import lr_at  # noqa: F401  (re-exported for schedule parity)
 from lusoforge.optim import Adam
 
 GRID_DROPOUTS = (0.0, 0.1)
@@ -189,7 +187,12 @@ def full_grid() -> list[GridPoint]:
 
 
 class TaskModel:
-    """Encoder + freshly seeded linear head over the CLS representation."""
+    """Encoder + freshly seeded linear head over the CLS representation.
+
+    Only encoder tensors are copied in: the mask decoder's tensors get no
+    gradient from a task head, so they are left out of the model, its
+    optimizer state and its checkpoint.
+    """
 
     def __init__(self, enc_config: EncoderConfig, enc_params: dict[str, Tensor],
                  head_type: str, dropout: float, seed: int):
@@ -197,7 +200,8 @@ class TaskModel:
 
         cfg = replace(enc_config, dropout_rate=dropout)
         params: OrderedDict[str, Tensor] = OrderedDict(
-            (k, Tensor(v.data.copy(), requires_grad=True)) for k, v in enc_params.items()
+            (k, Tensor(v.data.copy(), requires_grad=True))
+            for k, v in enc_params.items() if not is_emd_param(k)
         )
         h = cfg.hidden_size
         out_dim = 1 if head_type == "regression" else 2
@@ -224,7 +228,8 @@ def attach_head(enc_config: EncoderConfig, enc_params: dict[str, Tensor],
 
 def load_task_model(enc_config: EncoderConfig, arrays: dict[str, np.ndarray],
                     head_type: str) -> TaskModel:
-    """Rebuild a fine-tuned model (encoder + head) from checkpoint arrays."""
+    """Rebuild a fine-tuned model (encoder + head) from checkpoint arrays.
+    Decoder tensors that older fine-tuned checkpoints still hold are dropped."""
     if "head.w" not in arrays or "head.b" not in arrays:
         raise DataError("checkpoint has no task head; fine-tune first")
     enc_arrays = {k: Tensor(v.copy(), requires_grad=True)
@@ -454,21 +459,19 @@ def select_config(rows: Sequence[ConfigRow]) -> ConfigRow | None:
 def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: TaskSpec,
              tokenizer, train_examples, dev_examples, test_examples,
              grid: Sequence[GridPoint] | None = None, seq_len: int = 128,
-             epochs: int = 5, batch_size: int = 16, threads: int = 1) -> MetricsReport:
-    """Execute every grid point, then aggregate, select on dev, report test.
+             epochs: int = 5, batch_size: int = 16) -> MetricsReport:
+    """Execute every grid point in order, then aggregate, select on dev,
+    report test.
 
     Failed runs are recorded with their error, excluded from means, and
-    counted in the report. Worker threads each own a private model copy;
-    records are assembled in grid-index order, so the report is identical
-    at any thread count.
+    counted in the report. Each run fine-tunes a private model copy.
     """
     grid = list(grid) if grid is not None else full_grid()
     if not grid:
         raise DataError("run_grid: empty grid")
     test_enc, test_labels = _encode_examples(test_examples, tokenizer, seq_len)
 
-    def one_run(args) -> RunRecord:
-        index, gp = args
+    def one_run(index: int, gp: GridPoint) -> RunRecord:
         record = RunRecord(index=index, dropout=gp.dropout, lr=gp.lr,
                            precision=gp.precision, seed=gp.seed)
         try:
@@ -491,13 +494,7 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
             record.error = f"{type(e).__name__}: {e}"
         return record
 
-    jobs = list(enumerate(grid))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_run, jobs))
-    else:
-        records = [one_run(j) for j in jobs]
-    records.sort(key=lambda r: r.index)
+    records = [one_run(i, gp) for i, gp in enumerate(grid)]
 
     rows = group_runs(records)
     best = select_config(rows)
@@ -518,12 +515,12 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
     )
 
 
-def report_csv_summary(reports: Sequence[MetricsReport], model_name: str = "encoder") -> str:
-    """One row per model, one column per task, the reported test scores."""
-    tasks = [r.task for r in reports]
-    header = "model," + ",".join(tasks)
-    cells = [repr(r.reported_test_score) if r.reported_test_score is not None else ""
-             for r in reports]
+def report_csv_summary(scores: Sequence[tuple[str, float | None]],
+                       model_name: str = "encoder") -> str:
+    """One row per model, one column per task: (task, reported test score)
+    pairs; a missing score is an empty cell."""
+    header = "model," + ",".join(task for task, _ in scores)
+    cells = ["" if score is None else repr(score) for _, score in scores]
     return header + "\n" + model_name + "," + ",".join(cells) + "\n"
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import re
@@ -14,7 +13,9 @@ from conftest import make_documents
 import lusoforge
 import lusoforge.cli as cli
 from lusoforge import corpus as corpus_mod
+from lusoforge import finetune as ft
 from lusoforge import tokenizer as tok_mod
+from lusoforge.checkpoint import load_checkpoint
 from lusoforge.errors import DataError
 from lusoforge.finetune import TASKS, synthetic_task_examples, write_task_tsv
 from lusoforge.pretrain import LossLog, LossLogEntry
@@ -154,6 +155,15 @@ def test_corpus_filter_country_code(ws, tmp_path):
     assert rc == 2
 
 
+def test_corpus_filter_bad_country_code_is_usage_error(ws, tmp_path, capsys):
+    rc = cli.main(["corpus", "filter", "--input", str(ws["corpus"]),
+                   "--cc", "por", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error: country code must be two letters, got 'por'\n" in err
+    assert "Traceback" not in err
+
+
 def test_corpus_stats_cli(ws, tmp_path, capsys):
     out = tmp_path / "stats"
     assert cli.main(["corpus", "stats", "--input", str(ws["corpus"]),
@@ -254,6 +264,13 @@ def test_finetune_artifacts(ws):
     assert man["config"]["task"] == "rte"
 
 
+def test_finetuned_checkpoint_is_encoder_only(ws):
+    _, arrays, meta = load_checkpoint(ws["fin"] / "model_finetuned.ckpt")
+    assert meta["head_type"] == "binary_classification"
+    assert "head.w" in arrays and "layer0.attn.wq" in arrays
+    assert not [k for k in arrays if k.startswith(("abspos.", "emd"))]
+
+
 def test_eval_cli(ws, tmp_path, capsys):
     out = tmp_path / "eval"
     rc = cli.main(["eval", "--task", "rte",
@@ -297,6 +314,26 @@ def test_sweep_quick_cli(ws, tmp_path, capsys):
     man = json.loads((out / "manifest.json").read_text())
     assert man["command"] == "sweep"
     assert man["config"]["grid"] == "quick"
+
+
+def test_sweep_all_failed_is_data_error(ws, tmp_path, capsys, monkeypatch):
+    def broken(*a, **kw):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(ft, "finetune", broken)
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--task", "rte",
+                   "--checkpoint", str(ws["pre"] / "model.ckpt"),
+                   "--tokenizer", str(ws["vocab"]),
+                   "--train", str(ws["train_tsv"]), "--test", str(ws["test_tsv"]),
+                   "--grid", "quick", "--epochs", "1", "--seq-len", "32",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error: all 3 runs failed; first error: RuntimeError: injected failure" in err
+    report = json.loads((out / "metrics_report.json").read_text())
+    assert report["n_failed"] == 3
+    assert report["selected_config"] is None
 
 
 def test_sweep_rejects_unknown_grid(ws, tmp_path):
@@ -387,23 +424,13 @@ def test_render_loss_svg_flat_series():
 
 
 # ---------------------------------------------------------------------------
-# threads resolution
+# removed --threads flag
 
 
-def test_threads_resolution(monkeypatch):
-    ns = argparse.Namespace(threads=2)
-    assert cli._threads(ns, {"threads": 4}) == 2
-    ns = argparse.Namespace(threads=None)
-    assert cli._threads(ns, {"threads": 4}) == 4
-    monkeypatch.setenv("LUSOFORGE_THREADS", "3")
-    assert cli._threads(ns, {}) == 3
-    monkeypatch.delenv("LUSOFORGE_THREADS")
-    assert cli._threads(ns, {}) == 1
-
-
-def test_filter_respects_threads_env(ws, tmp_path, monkeypatch):
-    monkeypatch.setenv("LUSOFORGE_THREADS", "2")
-    out = tmp_path / "par"
-    assert cli.main(["corpus", "filter", "--input", str(ws["corpus"]),
-                     "--out", str(out)]) == 0
-    assert (out / "filtered.jsonl").read_bytes() == ws["filtered"].read_bytes()
+def test_threads_flag_is_usage_error(ws, tmp_path, capsys):
+    rc = cli.main(["corpus", "filter", "--input", str(ws["corpus"]),
+                   "--threads", "2", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error: unrecognized arguments: --threads 2" in err
+    assert "Traceback" not in err

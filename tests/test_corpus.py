@@ -19,9 +19,7 @@ from lusoforge.corpus import (
     content_hash,
     corpus_stats,
     deduplicate,
-    filter_by_tld,
     nonalpha_ratio,
-    ordered_parallel_map,
     quality_reason,
     read_jsonl,
     run_pipeline,
@@ -31,7 +29,7 @@ from lusoforge.corpus import (
     word_repetition_ratio,
     write_jsonl,
 )
-from lusoforge.errors import DataError
+from lusoforge.errors import DataError, UsageError
 
 from conftest import make_documents
 
@@ -145,16 +143,22 @@ def test_tld_reason_over_url_fixture():
 
 
 def test_filter_by_tld_keeps_matching():
-    docs = [doc("t", id=str(i), url=u) for i, (u, cc, r) in enumerate(TLD_FIXTURE) if cc == "pt"]
-    kept = filter_by_tld(docs, "pt")
-    assert all(tld_reason(d, "pt") is None for d in kept)
+    docs = [doc(f"texto {i}", id=str(i), url=u)
+            for i, (u, cc, r) in enumerate(TLD_FIXTURE) if cc == "pt"]
+    cfg = PipelineConfig(country_code="pt",
+                         thresholds=QualityThresholds(min_chars=1, min_words=1))
+    kept, report = run_pipeline(docs, cfg)
+    want = [d.id for d in docs if tld_reason(d, "pt") is None]
+    assert want and len(want) < len(docs)
+    assert [d.id for d in kept] == want
+    assert report.stages[0].name == "tld"
+    assert report.stages[0].kept == len(want)
 
 
 def test_filter_by_tld_validates_country_code():
-    with pytest.raises(ValueError):
-        filter_by_tld([], "por")
-    with pytest.raises(ValueError):
-        filter_by_tld([], "p1")
+    for cc in ("por", "p1"):
+        with pytest.raises(UsageError, match="two letters"):
+            run_pipeline([], PipelineConfig(country_code=cc))
 
 
 # ----------------------------------------------------------------- dedup
@@ -359,18 +363,6 @@ def test_pipeline_near_dup_stage():
     names = [s.name for s in report.stages]
     assert "near-dup" in names
     assert [d.id for d in kept] == ["a"]
-
-
-def test_pipeline_parallel_matches_serial(golden_documents):
-    serial, rs = run_pipeline(golden_documents, PipelineConfig(threads=1))
-    parallel, rp = run_pipeline(golden_documents, PipelineConfig(threads=4))
-    assert serial == parallel
-    assert rs.to_json() == rp.to_json()
-
-
-def test_ordered_parallel_map_preserves_order():
-    items = list(range(100))
-    assert ordered_parallel_map(lambda x: x * x, items, threads=8) == [x * x for x in items]
 
 
 def test_report_json_shape(golden_documents):
