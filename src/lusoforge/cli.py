@@ -4,7 +4,8 @@ pre-training, fine-tuning, grid sweeps, evaluation, and report rendering.
 Every field of every run config resolves as CLI flag > config file >
 built-in default, and each resolution is logged. Every run writes a
 RunManifest next to its outputs. Exit codes: 0 success, 1 usage error,
-2 data error, 3 numerical abort.
+2 data error or any other LusoforgeError (such as ShapeError), 3 numerical
+abort.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from lusoforge import finetune as ft
 from lusoforge import pretrain as pt
 from lusoforge import tokenizer as tok_mod
 from lusoforge.checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
-from lusoforge.errors import DataError, NumericalError, UsageError
+from lusoforge.errors import DataError, LusoforgeError, NumericalError, UsageError
 from lusoforge.manifest import RunManifest
 
 log = logging.getLogger("lusoforge")
@@ -528,6 +529,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return 3
+    except LusoforgeError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

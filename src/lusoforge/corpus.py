@@ -1,9 +1,15 @@
 """Web-corpus curation: TLD filtering, deduplication, quality filtering, stats.
 
-Stages are pure per-document functions chained in a fixed order (TLD ->
-exact dedup -> optional near-dup -> quality). Every rejected document gets
-exactly one reason, the first stage that fails it; kept documents come out
-in input order.
+Stages are chained in a fixed order (TLD -> exact dedup -> optional near-dup
+-> quality). Every rejected document gets exactly one reason, the first
+stage that fails it; kept documents come out in input order. PipelineConfig
+validates its options when it is built, before any input is read.
+
+The near-dup stage drops a document whose word-shingle Jaccard similarity
+with an earlier kept document reaches the threshold. It runs as an exact
+prefix-filtered join (`near_deduplicate`): each kept document is indexed by
+the first few of its sorted shingle hashes, and only documents sharing one
+are compared, which makes the same decisions as comparing every pair.
 
 The quality chain evaluates word-repetition before character-repetition:
 heavy word-level repetition trips both ratios, and the word-level reason is
@@ -15,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -63,6 +69,15 @@ class PipelineConfig:
     near_dup_jaccard: float = 0.8
     near_dup_ngram: int = 5
     thresholds: QualityThresholds = field(default_factory=QualityThresholds)
+
+    def __post_init__(self):
+        cc = self.country_code
+        if cc and (len(cc) != 2 or not cc.isalpha()):
+            raise UsageError(f"country code must be two letters, got {cc!r}")
+        if not 0 < self.near_dup_jaccard <= 1:
+            raise UsageError(f"near_dup_jaccard must be in (0, 1], got {self.near_dup_jaccard!r}")
+        if self.near_dup_ngram < 1:
+            raise UsageError(f"near_dup_ngram must be at least 1, got {self.near_dup_ngram!r}")
 
 
 @dataclass
@@ -183,6 +198,55 @@ def _shingles(text: str, n: int) -> frozenset[int]:
     return frozenset(content_hash(" ".join(g)) for g in grams)
 
 
+def _min_overlap(size: int, t: float) -> int:
+    """Fewest shared shingles with which a set of `size` can pass the
+    `inter / union >= t` test, for 0 < t <= 1.
+
+    The union is at least `size`, and float division is monotone, so the
+    bound is the least o with o / size >= t as the test computes it; the
+    loops correct any rounding in ceil(t * size).
+    """
+    o = math.ceil(t * size)
+    while o > 1 and (o - 1) / size >= t:
+        o -= 1
+    while o / size < t:
+        o += 1
+    return o
+
+
+def _jaccard_reaches(a: frozenset[int], b: frozenset[int], t: float) -> bool:
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter) >= t
+
+
+def near_deduplicate(docs: Sequence[Document], n: int, t: float) -> list[Document]:
+    """Drop each document whose word n-gram shingles have Jaccard similarity
+    >= t with an earlier kept document, for 0 < t <= 1.
+
+    An exact prefix-filtered set-similarity join (PPJoin, Xiao et al. 2008):
+    with each shingle set sorted by hash, two sets can reach the threshold
+    only if their prefixes of `len - _min_overlap(len, t) + 1` hashes share
+    one, because the smallest shared hash lies inside both. Only kept
+    documents are indexed, by their prefix hashes; the candidates a document's
+    prefix finds are verified with the full test in kept order. The decisions
+    equal those of comparing each document with every kept one.
+    """
+    kept: list[Document] = []
+    kept_shingles: list[frozenset[int]] = []
+    index: dict[int, list[int]] = defaultdict(list)
+    for d in docs:
+        sh = _shingles(d.text, n)
+        prefix = sorted(sh)[: len(sh) - _min_overlap(len(sh), t) + 1]
+        candidates = sorted({k for h in prefix for k in index.get(h, ())})
+        if any(_jaccard_reaches(sh, kept_shingles[k], t) for k in candidates):
+            continue
+        for h in prefix:
+            index[h].append(len(kept))
+        kept.append(d)
+        kept_shingles.append(sh)
+    return kept
+
+
 def char_repetition_ratio(text: str, n: int = 10) -> float:
     """Mass of the most frequent character n-grams over all n-gram mass.
 
@@ -262,6 +326,17 @@ def _apply_stage(docs: list[Document], name: str, reason_fn,
     return kept
 
 
+def _count_stage(docs: list[Document], kept: list[Document], name: str, reason: str,
+                 report: FilterReport) -> list[Document]:
+    """Report a stage that drops documents for one reason; returns `kept`."""
+    stage = StageReport(name=name, input=len(docs), kept=len(kept))
+    if stage.input != stage.kept:
+        stage.rejected[reason] = stage.input - stage.kept
+    stage.check()
+    report.stages.append(stage)
+    return kept
+
+
 def run_pipeline(docs: Sequence[Document], config: PipelineConfig | None = None,
                  tokenizer=None) -> tuple[list[Document], FilterReport]:
     """Full curation chain. Returns (kept documents, report). Output order
@@ -272,42 +347,14 @@ def run_pipeline(docs: Sequence[Document], config: PipelineConfig | None = None,
 
     if config.country_code:
         cc = config.country_code
-        if len(cc) != 2 or not cc.isalpha():
-            raise UsageError(f"country code must be two letters, got {cc!r}")
         current = _apply_stage(current, "tld", lambda d: tld_reason(d, cc), report)
 
     if config.deduplicate:
-        stage = StageReport(name="dedup", input=len(current), kept=0)
-        deduped = deduplicate(current)
-        stage.kept = len(deduped)
-        if stage.input != stage.kept:
-            stage.rejected["duplicate"] = stage.input - stage.kept
-        stage.check()
-        report.stages.append(stage)
-        current = deduped
+        current = _count_stage(current, deduplicate(current), "dedup", "duplicate", report)
 
     if config.near_duplicates:
-        stage = StageReport(name="near-dup", input=len(current), kept=0)
-        kept: list[Document] = []
-        kept_shingles: list[frozenset[int]] = []
-        for d in current:
-            sh = _shingles(d.text, config.near_dup_ngram)
-            dup = False
-            for other in kept_shingles:
-                inter = len(sh & other)
-                union = len(sh | other)
-                if union and inter / union >= config.near_dup_jaccard:
-                    dup = True
-                    break
-            if dup:
-                stage.rejected["near-duplicate"] = stage.rejected.get("near-duplicate", 0) + 1
-            else:
-                kept.append(d)
-                kept_shingles.append(sh)
-        stage.kept = len(kept)
-        stage.check()
-        report.stages.append(stage)
-        current = kept
+        distinct = near_deduplicate(current, config.near_dup_ngram, config.near_dup_jaccard)
+        current = _count_stage(current, distinct, "near-dup", "near-duplicate", report)
 
     current = _apply_stage(current, "quality",
                            lambda d: quality_reason(d, config.thresholds), report)

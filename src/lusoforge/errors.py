@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
-NumericalError -> 3.
+NumericalError -> 3, and any other LusoforgeError (ShapeError,
+ContractError) -> 2.
 """
 
 

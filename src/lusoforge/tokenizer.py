@@ -2,10 +2,13 @@
 
 Words are marked with a leading "▁" glyph before merging, so word boundaries
 survive in the learned pieces and decoding is a pure string concat. Training
-is greedy: repeatedly merge the most frequent adjacent symbol pair, ties
-broken by lexicographically smallest pair, until the vocabulary budget is
-spent or no pairs remain. No randomness is involved; the seed parameter is
-accepted for interface uniformity and recorded, nothing more.
+is greedy (Sennrich et al. 2016): repeatedly merge the most frequent adjacent
+symbol pair, ties broken by lexicographically smallest pair, until the
+vocabulary budget is spent or no pairs remain. Pair counts are taken once and
+then updated incrementally: a merge rewrites only the words that contain the
+merged pair, and a heap yields the next best pair. No randomness is involved;
+the seed parameter is accepted for interface uniformity and recorded, nothing
+more.
 
 Special ids sit at the low end and are never produced by text encoding:
 PAD=0, UNK=1, CLS=2, SEP=3, MASK=4.
@@ -13,9 +16,10 @@ PAD=0, UNK=1, CLS=2, SEP=3, MASK=4.
 
 from __future__ import annotations
 
+import heapq
 import json
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -65,7 +69,7 @@ class TokenizerModel:
 
 
 def normalize(text: str) -> str:
-    """NFC plus whitespace-run collapapse; no case folding."""
+    """NFC plus whitespace-run collapse; no case folding."""
     return " ".join(unicodedata.normalize("NFC", text).split())
 
 
@@ -78,6 +82,15 @@ def _marked_words(text: str) -> list[str]:
 
 def train_tokenizer(corpus: Iterable, vocab_size: int, seed: int = 0) -> TokenizerModel:
     """Learn a BPE vocabulary from an iterable of strings or Documents.
+
+    Each merge takes the pair with the highest frequency-weighted count, the
+    lexicographically smallest pair among equal counts, and replaces it left
+    to right in every word. Counts are taken once; a `pair -> words` index
+    lets each merge rewrite only the words that hold the pair, subtracting
+    their old pairs and adding their new ones. A heap keyed (-count, pair)
+    picks the best pair, and its entries are dropped lazily once their count
+    is out of date. The merges equal those of recounting every pair of every
+    word before each merge.
 
     Deterministic in corpus order; `seed` is unused (greedy BPE draws no
     randomness) but kept so every trainer in the codebase has the same
@@ -104,38 +117,67 @@ def train_tokenizer(corpus: Iterable, vocab_size: int, seed: int = 0) -> Tokeniz
     for ch in base:
         vocab[ch] = len(vocab)
 
-    # words as symbol tuples, weighted by frequency
-    words: dict[tuple[str, ...], int] = {tuple(w): f for w, f in word_freq.items()}
+    # Distinct words as mutable symbol lists; pair counts are weighted by
+    # word frequency and kept current merge by merge.
+    words = [list(w) for w in word_freq]
+    freqs = list(word_freq.values())
+    pair_freq: Counter[tuple[str, str]] = Counter()
+    where: dict[tuple[str, str], set[int]] = defaultdict(set)
+    for wi, syms in enumerate(words):
+        for pair in zip(syms, syms[1:]):
+            pair_freq[pair] += freqs[wi]
+            where[pair].add(wi)
+    # max-heap on count, smallest pair first among equal counts; an entry is
+    # stale once its count no longer equals pair_freq[pair]
+    heap = [(-c, p) for p, c in pair_freq.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
 
-    while len(vocab) < vocab_size:
-        pair_freq: Counter[tuple[str, str]] = Counter()
-        for syms, f in words.items():
-            for a, b in zip(syms, syms[1:]):
-                pair_freq[(a, b)] += f
-        if not pair_freq:
-            break
-        best_count = max(pair_freq.values())
-        best = min(p for p, c in pair_freq.items() if c == best_count)
+    while len(vocab) < vocab_size and heap:
+        neg, best = heapq.heappop(heap)
+        if pair_freq.get(best) != -neg:
+            continue
         merged = best[0] + best[1]
         merges.append(best)
         vocab[merged] = len(vocab)
-        new_words: dict[tuple[str, ...], int] = {}
-        for syms, f in words.items():
-            out: list[str] = []
-            i = 0
-            while i < len(syms):
-                if i + 1 < len(syms) and (syms[i], syms[i + 1]) == best:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(syms[i])
-                    i += 1
-            new_words[tuple(out)] = new_words.get(tuple(out), 0) + f
-        words = new_words
+        changed: set[tuple[str, str]] = set()
+        for wi in where.pop(best):
+            syms = words[wi]
+            out = _merge_pair(syms, best, merged)
+            if len(out) == len(syms):
+                continue  # the index entry outlived the pair in this word
+            f = freqs[wi]
+            for pair in zip(syms, syms[1:]):
+                pair_freq[pair] -= f
+                changed.add(pair)
+            for pair in zip(out, out[1:]):
+                pair_freq[pair] += f
+                where[pair].add(wi)
+                changed.add(pair)
+            words[wi] = out
+        for pair in changed:
+            count = pair_freq[pair]
+            if count:
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_freq[pair]
 
     specials = {name.strip("<>").upper(): i for i, name in enumerate(SPECIAL_TOKENS)}
     return TokenizerModel(vocab=vocab, merges=merges, specials=specials)
+
+
+def _merge_pair(syms: list[str], pair: tuple[str, str], merged: str) -> list[str]:
+    """Replace each occurrence of `pair` in `syms`, scanning left to right."""
+    out: list[str] = []
+    i = 0
+    while i < len(syms):
+        if i + 1 < len(syms) and syms[i] == pair[0] and syms[i + 1] == pair[1]:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(syms[i])
+            i += 1
+    return out
 
 
 def _bpe(model: TokenizerModel, word: str) -> tuple[str, ...]:

@@ -15,7 +15,8 @@ import lusoforge.cli as cli
 from lusoforge import corpus as corpus_mod
 from lusoforge import finetune as ft
 from lusoforge import tokenizer as tok_mod
-from lusoforge.checkpoint import load_checkpoint
+from lusoforge.checkpoint import load_checkpoint, save_checkpoint
+from lusoforge.encoder import init_params, preset
 from lusoforge.errors import DataError
 from lusoforge.finetune import TASKS, synthetic_task_examples, write_task_tsv
 from lusoforge.pretrain import LossLog, LossLogEntry
@@ -164,6 +165,25 @@ def test_corpus_filter_bad_country_code_is_usage_error(ws, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_corpus_filter_bad_country_code_checked_before_input(tmp_path, capsys):
+    rc = cli.main(["corpus", "filter", "--input", str(tmp_path / "absent.jsonl"),
+                   "--cc", "por", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error: country code must be two letters, got 'por'\n" in err
+    assert "cannot read corpus file" not in err
+
+
+@pytest.mark.parametrize("field,value", [("near_dup_jaccard", 0), ("near_dup_ngram", 0)])
+def test_corpus_filter_bad_near_dup_setting_is_usage_error(ws, tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    rc = cli.main(["corpus", "filter", "--input", str(ws["corpus"]), "--near-dups",
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"usage error: {field} must be" in capsys.readouterr().err
+
+
 def test_corpus_stats_cli(ws, tmp_path, capsys):
     out = tmp_path / "stats"
     assert cli.main(["corpus", "stats", "--input", str(ws["corpus"]),
@@ -269,6 +289,22 @@ def test_finetuned_checkpoint_is_encoder_only(ws):
     assert meta["head_type"] == "binary_classification"
     assert "head.w" in arrays and "layer0.attn.wq" in arrays
     assert not [k for k in arrays if k.startswith(("abspos.", "emd"))]
+
+
+def test_vocabulary_mismatch_is_one_line_error(ws, tmp_path, capsys):
+    # the tokenizer's ids run past a 16-entry checkpoint vocabulary, which
+    # the embedding lookup rejects with ShapeError: exit 2, no traceback
+    small = tmp_path / "small.ckpt"
+    config = preset("micro", vocab_size=16)
+    save_checkpoint(small, config, init_params(config, np.random.default_rng(0)))
+    rc = cli.main(["finetune", "--task", "rte", "--checkpoint", str(small),
+                   "--tokenizer", str(ws["vocab"]), "--train", str(ws["train_tsv"]),
+                   "--epochs", "1", "--batch-size", "8", "--seq-len", "32",
+                   "--out", str(tmp_path / "fin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: ShapeError: " in err
+    assert "Traceback" not in err
 
 
 def test_eval_cli(ws, tmp_path, capsys):

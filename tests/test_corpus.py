@@ -4,6 +4,7 @@ direct-counting oracles, stats, and the chain invariants."""
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -18,7 +19,9 @@ from lusoforge.corpus import (
     char_repetition_ratio,
     content_hash,
     corpus_stats,
+    _min_overlap,
     deduplicate,
+    near_deduplicate,
     nonalpha_ratio,
     quality_reason,
     read_jsonl,
@@ -31,7 +34,8 @@ from lusoforge.corpus import (
 )
 from lusoforge.errors import DataError, UsageError
 
-from conftest import make_documents
+from conftest import make_documents, random_words
+from oracles import near_dup_reference
 
 NATURAL_PARAGRAPH = (
     "A vila acordava devagar, com o cheiro do pão quente a escapar das "
@@ -159,6 +163,11 @@ def test_filter_by_tld_validates_country_code():
     for cc in ("por", "p1"):
         with pytest.raises(UsageError, match="two letters"):
             run_pipeline([], PipelineConfig(country_code=cc))
+
+
+def test_country_code_checked_when_config_is_built():
+    with pytest.raises(UsageError, match="two letters"):
+        PipelineConfig(country_code="por")
 
 
 # ----------------------------------------------------------------- dedup
@@ -363,6 +372,87 @@ def test_pipeline_near_dup_stage():
     names = [s.name for s in report.stages]
     assert "near-dup" in names
     assert [d.id for d in kept] == ["a"]
+
+
+# ----------------------------------------------------------------- near-dup
+# The prefix-filtered join must keep exactly what the all-pairs oracle keeps.
+
+_NEAR_VOCAB = ["alfa", "bravo", "charlie", "delta", "eco", "foxtrote", "golfe", "hotel"]
+
+
+@st.composite
+def _edited_pages(draw):
+    """A few base pages plus copies with one random word edit each, in a
+    random order; many pages are shorter than the shingle width."""
+    pages = draw(st.lists(st.lists(st.sampled_from(_NEAR_VOCAB), max_size=24),
+                          min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 8))):
+        words = list(draw(st.sampled_from(pages)))
+        i = draw(st.integers(0, len(words)))
+        word = draw(st.sampled_from(_NEAR_VOCAB + ["intruso"]))
+        op = draw(st.sampled_from(("substitute", "insert", "delete")))
+        if op == "insert":
+            words.insert(i, word)
+        elif i < len(words):
+            if op == "substitute":
+                words[i] = word
+            else:
+                del words[i]
+        pages.append(words)
+    return draw(st.permutations(pages))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_pages(), st.sampled_from([0.5, 0.8, 1.0]), st.sampled_from([1, 3, 5]))
+def test_near_dup_join_matches_all_pairs_oracle(pages, t, n):
+    docs = [doc(" ".join(p), id=str(i)) for i, p in enumerate(pages)]
+    got = near_deduplicate(docs, n, t)
+    assert [d.id for d in got] == [d.id for d in near_dup_reference(docs, n, t)]
+
+
+def test_near_dup_join_matches_oracle_on_long_edited_pages():
+    rng = random.Random(5)
+    bases = [random_words(80, seed=s) for s in range(6)]
+    pages = [list(b) for b in bases]
+    for _ in range(60):
+        words = list(rng.choice(pages))
+        words[rng.randrange(len(words))] = rng.choice(bases[0])
+        pages.append(words)
+    rng.shuffle(pages)
+    docs = [doc(" ".join(p), id=str(i)) for i, p in enumerate(pages)]
+    for t in (0.5, 0.8, 1.0):
+        for n in (1, 3, 5):
+            want = [d.id for d in near_dup_reference(docs, n, t)]
+            assert [d.id for d in near_deduplicate(docs, n, t)] == want
+
+
+def test_near_dup_threshold_is_inclusive():
+    # unigram shingles: 4 shared of 5 in the union, J = 0.8 exactly
+    a = doc("alfa bravo charlie delta eco", id="a")
+    b = doc("alfa bravo charlie delta", id="b")
+    assert [d.id for d in near_deduplicate([a, b], 1, 0.8)] == ["a"]
+    assert [d.id for d in near_deduplicate([a, b], 1, 0.81)] == ["a", "b"]
+    assert [d.id for d in near_dup_reference([a, b], 1, 0.8)] == ["a"]
+
+
+def test_min_overlap_is_least_passing_overlap():
+    for t in (0.1, 0.3, 1 / 3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0):
+        for size in range(1, 80):
+            want = min(o for o in range(1, size + 1) if o / size >= t)
+            assert _min_overlap(size, t) == want, (t, size)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"near_dup_jaccard": 0.0}, {"near_dup_jaccard": -0.5}, {"near_dup_jaccard": 1.5},
+    {"near_dup_jaccard": float("nan")}, {"near_dup_ngram": 0}, {"near_dup_ngram": -2},
+])
+def test_pipeline_config_rejects_bad_near_dup_settings(kwargs):
+    with pytest.raises(UsageError, match="near_dup"):
+        PipelineConfig(near_duplicates=True, **kwargs)
+
+
+def test_pipeline_config_accepts_near_dup_bounds():
+    PipelineConfig(near_duplicates=True, near_dup_jaccard=1.0, near_dup_ngram=1)
 
 
 def test_report_json_shape(golden_documents):

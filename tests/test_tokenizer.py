@@ -27,6 +27,8 @@ from lusoforge.tokenizer import (
     train_tokenizer,
 )
 
+from oracles import train_bpe_reference
+
 
 # ----------------------------------------------------------------- training
 
@@ -314,3 +316,47 @@ _ROUND_TRIP_MODEL = train_tokenizer(
     ["abc def abcdef fed cba " * 4, "ab cd ef fe dc ba", "a b c d e f"],
     vocab_size=96,
 )
+
+
+# ------------------------------------------------ training against the oracle
+# The trainer updates pair counts incrementally; the oracle recounts every
+# pair of every word before each merge. Merges and vocabulary order must agree.
+
+_tie_text = st.text(alphabet="ab ", max_size=40)
+# precomposed and decomposed forms (NFC folds "a\u0303" into "\u00e3"),
+# two-, three- and four-byte UTF-8 characters
+_unicode_text = st.lists(
+    st.sampled_from(["a", "c", " ", "\u00e3", "a\u0303", "\u00e7", "c\u0327",
+                     "\u20ac", "\U0001d11e"]),
+    max_size=30,
+).map("".join)
+
+
+def _assert_matches_oracle(texts, vocab_size):
+    try:
+        want_merges, want_vocab = train_bpe_reference(texts, vocab_size)
+    except DataError:
+        with pytest.raises(DataError):
+            train_tokenizer(texts, vocab_size)
+        return
+    model = train_tokenizer(texts, vocab_size)
+    assert model.merges == want_merges
+    assert list(model.vocab.items()) == list(want_vocab.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_tie_text | _unicode_text, min_size=1, max_size=8),
+       st.integers(min_value=6, max_value=120))
+def test_training_matches_recount_oracle(texts, vocab_size):
+    _assert_matches_oracle(texts, vocab_size)
+
+
+def test_training_matches_recount_oracle_on_toy_corpus(toy_sentences):
+    _assert_matches_oracle(toy_sentences, 256)
+
+
+def test_training_stops_when_pairs_run_out():
+    # "▁aaaa ▁abab" has far fewer possible merges than the budget allows
+    model = train_tokenizer(["aaaa abab aaaa"], vocab_size=200)
+    assert model.vocab_size < 200
+    _assert_matches_oracle(["aaaa abab aaaa"], 200)
