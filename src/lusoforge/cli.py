@@ -11,6 +11,7 @@ abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -52,8 +53,17 @@ def _load_config_file(path: Path | None) -> dict:
     return obj
 
 
+def _cast(name: str, value, kind: type):
+    """kind(value), with a value that does not convert reported as a usage error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"config {name} must be {kind.__name__}, got {value!r}") from None
+
+
 def _resolve_fields(args, file_cfg: dict, defaults: dict) -> dict:
-    """CLI flag > config file > default, logged per field."""
+    """CLI flag > config file > default, logged per field. A config-file
+    value takes the type of its default, unless that default is None."""
     resolved = {}
     for name, default in defaults.items():
         cli_val = getattr(args, name, None)
@@ -61,7 +71,8 @@ def _resolve_fields(args, file_cfg: dict, defaults: dict) -> dict:
             resolved[name] = cli_val
             source = "cli"
         elif name in file_cfg:
-            resolved[name] = file_cfg[name]
+            value = file_cfg[name]
+            resolved[name] = value if default is None else _cast(name, value, type(default))
             source = "config-file"
         else:
             resolved[name] = default
@@ -80,8 +91,21 @@ def _seed(args, file_cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in file_cfg:
-        return int(file_cfg["seed"])
+        return _cast("seed", file_cfg["seed"], int)
     return 0
+
+
+def _thresholds(raw) -> corpus_mod.QualityThresholds:
+    """Quality thresholds from a config file's `thresholds` object; each value
+    takes the type of its default."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(corpus_mod.QualityThresholds)}
+    if not isinstance(raw, dict):
+        raise UsageError(f"config thresholds must be an object, got {raw!r}")
+    unknown = sorted(set(raw) - set(kinds))
+    if unknown:
+        raise UsageError(f"config thresholds has unknown keys {unknown}; have {sorted(kinds)}")
+    return corpus_mod.QualityThresholds(
+        **{k: _cast(f"thresholds.{k}", v, kinds[k]) for k, v in raw.items()})
 
 
 def _manifest(command: str, config: dict, seed: int) -> RunManifest:
@@ -151,13 +175,13 @@ def _cmd_corpus_filter(args) -> int:
         "country_code": None, "deduplicate": True, "near_duplicates": False,
         "near_dup_jaccard": 0.8, "near_dup_ngram": 5,
     })
-    thresholds = corpus_mod.QualityThresholds(**file_cfg.get("thresholds", {}))
+    thresholds = _thresholds(file_cfg.get("thresholds", {}))
     config = corpus_mod.PipelineConfig(
         country_code=fields["country_code"],
         deduplicate=bool(fields["deduplicate"]),
         near_duplicates=bool(fields["near_duplicates"]),
-        near_dup_jaccard=float(fields["near_dup_jaccard"]),
-        near_dup_ngram=int(fields["near_dup_ngram"]),
+        near_dup_jaccard=fields["near_dup_jaccard"],
+        near_dup_ngram=fields["near_dup_ngram"],
         thresholds=thresholds,
     )
     docs = corpus_mod.read_jsonl(args.input)
@@ -200,7 +224,7 @@ def _cmd_tokenizer_train(args) -> int:
     out = _out_dir(args)
     fields = _resolve_fields(args, file_cfg, {"vocab_size": 8192})
     docs = corpus_mod.read_jsonl(args.input)
-    model = tok_mod.train_tokenizer(docs, int(fields["vocab_size"]), seed=seed)
+    model = tok_mod.train_tokenizer(docs, fields["vocab_size"], seed=seed)
     vocab_path = out / "vocab.json"
     tok_mod.save_tokenizer(model, vocab_path)
     man = _manifest("tokenizer train", fields, seed)
@@ -256,20 +280,20 @@ def _cmd_finetune(args) -> int:
         "dropout": 0.1, "lr": 1e-5, "precision": "fp32",
         "epochs": 5, "batch_size": 16, "seq_len": 128, "dev_fraction": 0.1,
     })
-    gp = ft.GridPoint(dropout=float(fields["dropout"]), lr=float(fields["lr"]),
-                      precision=str(fields["precision"]), seed=seed)
+    gp = ft.GridPoint(dropout=fields["dropout"], lr=fields["lr"],
+                      precision=fields["precision"], seed=seed)
     enc_config, arrays, _ = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
     train_ex = ft.read_task_tsv(args.train, spec, "train")
     if args.dev:
         dev_ex = ft.read_task_tsv(args.dev, spec, "dev")
     else:
-        train_ex, dev_ex = ft.split_train_dev(train_ex, float(fields["dev_fraction"]), seed)
+        train_ex, dev_ex = ft.split_train_dev(train_ex, fields["dev_fraction"], seed)
     model = ft.attach_head(enc_config, params_from_arrays(arrays), spec.head_type,
                            dropout=gp.dropout, seed=gp.seed)
     result = ft.finetune(model, train_ex, dev_ex, gp, spec, tokenizer,
-                         seq_len=int(fields["seq_len"]), epochs=int(fields["epochs"]),
-                         batch_size=int(fields["batch_size"]))
+                         seq_len=fields["seq_len"], epochs=fields["epochs"],
+                         batch_size=fields["batch_size"])
     ckpt_path = out / "model_finetuned.ckpt"
     save_checkpoint(ckpt_path, model.config, model.params,
                     meta={"task": spec.name, "head_type": spec.head_type,
@@ -310,7 +334,7 @@ def _cmd_sweep(args) -> int:
     if args.dev:
         dev_ex = ft.read_task_tsv(args.dev, spec, "dev")
     else:
-        train_ex, dev_ex = ft.split_train_dev(train_ex, float(fields["dev_fraction"]), seed)
+        train_ex, dev_ex = ft.split_train_dev(train_ex, fields["dev_fraction"], seed)
     test_ex = ft.read_task_tsv(args.test, spec, "test")
     if fields["grid"] == "full":
         grid = ft.full_grid()
@@ -320,8 +344,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"--grid must be 'full' or 'quick', got {fields['grid']!r}")
     report = ft.run_grid(enc_config, params_from_arrays(arrays), spec, tokenizer,
                          train_ex, dev_ex, test_ex, grid=grid,
-                         seq_len=int(fields["seq_len"]), epochs=int(fields["epochs"]),
-                         batch_size=int(fields["batch_size"]))
+                         seq_len=fields["seq_len"], epochs=fields["epochs"],
+                         batch_size=fields["batch_size"])
     report_path = out / "metrics_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
     summary_path = out / "summary.csv"

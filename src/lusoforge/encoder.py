@@ -10,9 +10,12 @@ Wq/Wk used for content (no bias on the position path, so a zeroed table
 contributes exactly nothing and the layer degrades to standard attention).
 
 The first layer adds a 1-D convolution over the input embeddings to its
-attention output before the residual. Masked-token prediction runs the final
-hidden states through decoding layers whose query stream carries absolute
-position embeddings, then projects onto the (tied) input embedding table.
+attention output before the residual. Masked-token prediction runs the
+enhanced mask decoder (He et al. 2021, §3.2) on the selected positions only:
+their query stream starts at the encoder output H plus absolute position
+embeddings, every decoding layer attends over all of H as fixed keys and
+values and updates only that stream, and the result is projected onto the
+(tied) input embedding table.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from lusoforge import autodiff as ad
 from lusoforge.autodiff import Tensor
-from lusoforge.errors import ShapeError
+from lusoforge.errors import EmptyLossError, ShapeError
 
 NEG_BIAS = -1e9  # finite stand-in for -inf; keeps softmax NaN-free
 
@@ -372,28 +375,55 @@ def enhanced_mask_decode(
     all_hidden: Sequence[Tensor],
     attn_mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
+    select: np.ndarray | None = None,
 ) -> Tensor:
-    """Decoding layers whose Query carries absolute positions, then a
-    vocabulary projection tied to the input embedding table.
+    """Decoding layers over the positions where `select` [B, S] is True, then
+    a vocabulary projection tied to the input embedding table.
 
-    Returns MLM logits [B, S, vocab_size].
+    Each row's selected positions are packed, in order, into a [B, m] query
+    stream (m the largest count in a row; spare slots repeat position 0). The
+    stream starts at the encoder output H and gains the absolute position
+    embeddings in every layer's query; keys and values stay fixed at H across
+    layers, with padded keys masked by attn_mask. Spare slots are dropped
+    before the projection.
+
+    Returns logits [N, vocab_size] for the N selected positions in row-major
+    order, which is the order of labels[select]. select=None decodes every
+    position and returns [B, S, vocab_size].
     """
-    h = all_hidden[-1]
-    b, s, _ = h.shape
+    H = all_hidden[-1]
+    b, s, h = H.shape
     if attn_mask is None:
         attn_mask = np.ones((b, s), dtype=np.float32)
+    every = select is None
+    if every:
+        select = np.ones((b, s), dtype=bool)
+    select = np.asarray(select)
+    if select.dtype != np.bool_ or select.shape != (b, s):
+        raise ShapeError(f"select must be a bool array of shape {(b, s)}, "
+                         f"got {select.dtype} {select.shape}")
+    rows, cols = np.nonzero(select)
+    if rows.size == 0:
+        raise EmptyLossError("enhanced_mask_decode: select is all false; nothing to decode")
+    rank = np.cumsum(select, axis=1) - 1       # slot of each selected position in its row
+    m = int(rank[:, -1].max()) + 1
+    slots = rank[rows, cols]
+    positions = np.zeros((b, m), dtype=np.int64)
+    positions[rows, slots] = cols
+
     drop = config.dropout_rate
-    pos = ad.narrow(params["abspos.table"], 0, 0, s)
+    stream = ad.embedding(ad.reshape(H, (b * s, h)), positions + s * np.arange(b)[:, None])  # [B,m,h]
+    pos = ad.embedding(params["abspos.table"], positions)
     for j in range(config.emd_layers):
         prefix = f"emd{j}"
-        q_in = ad.add(h, pos)
-        raw = standard_attention(q_in, h, attn_mask, params, prefix,
+        raw = standard_attention(ad.add(stream, pos), H, attn_mask, params, prefix,
                                  config.num_heads, drop, rng)
-        h = _finish_attn_sublayer(h, raw, params, prefix, config.layer_norm_eps, drop, rng)
-        h = _ffn_sublayer(h, params, prefix, config.layer_norm_eps, drop, rng)
+        stream = _finish_attn_sublayer(stream, raw, params, prefix, config.layer_norm_eps, drop, rng)
+        stream = _ffn_sublayer(stream, params, prefix, config.layer_norm_eps, drop, rng)
+    picked = ad.embedding(ad.reshape(stream, (b * m, h)), rows * m + slots)  # [N,h]
     # tied output projection: literally the embedding table, transposed in-graph
-    return ad.matmul(h, ad.swap_last2(ad.reshape(params["embed.tokens"],
-                                                 (1,) + params["embed.tokens"].shape)))
+    logits = ad.matmul(picked, ad.swap_last2(params["embed.tokens"]))
+    return ad.reshape(logits, (b, s, config.vocab_size)) if every else logits
 
 
 class DisentangledEncoder:
@@ -409,9 +439,9 @@ class DisentangledEncoder:
     def forward(self, ids, segments=None, attn_mask=None, rng=None) -> list[Tensor]:
         return encoder_forward(self.params, self.config, ids, segments, attn_mask, rng)
 
-    def mlm_logits(self, ids, segments=None, attn_mask=None, rng=None) -> Tensor:
+    def mlm_logits(self, ids, segments=None, attn_mask=None, rng=None, select=None) -> Tensor:
         hidden = self.forward(ids, segments, attn_mask, rng)
-        return enhanced_mask_decode(self.params, self.config, hidden, attn_mask, rng)
+        return enhanced_mask_decode(self.params, self.config, hidden, attn_mask, rng, select)
 
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self.params.values())

@@ -347,11 +347,12 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
             opt.zero_grad()
             window_nll = 0.0
             for b in micro:
-                if not (b.labels != -100).any():
+                select = b.labels != -100
+                if not select.any():
                     continue  # all-ignored micro-batch: zero loss, zero gradient
-                logits = model.mlm_logits(b.ids, attn_mask=b.attn_mask, rng=train_rng)
-                flat = ad.reshape(logits, (logits.shape[0] * logits.shape[1], logits.shape[2]))
-                loss = ad.cross_entropy(flat, b.labels.reshape(-1), reduction="sum")
+                logits = model.mlm_logits(b.ids, attn_mask=b.attn_mask, rng=train_rng,
+                                          select=select)
+                loss = ad.cross_entropy(logits, b.labels[select], reduction="sum")
                 scaled = ad.scale(loss, 1.0 / total_count)
                 ad.backward(scaled)
                 window_nll += float(loss.data)

@@ -1,16 +1,29 @@
 """Reference implementations kept as test oracles.
 
-These are the straightforward versions of two algorithms that `src/` runs in
-a faster, exact form: greedy BPE training that recounts every pair of every
-word before each merge, and the near-duplicate scan that compares each
-document with every kept one. Tests require equal results from both.
+These are the straightforward versions of algorithms that `src/` runs in a
+faster, exact form: greedy BPE training that recounts every pair of every
+word before each merge, the near-duplicate scan that compares each document
+with every kept one, and the masked-token decoder run over every position.
+Tests require equal results from both. A plain-numpy enhanced mask decoder
+in the form of He et al. (2021, §3.2) checks the decoder for any layer count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+from scipy.special import erf
+
+from lusoforge import autodiff as ad
 from lusoforge.corpus import _shingles
+from lusoforge.encoder import (
+    NEG_BIAS,
+    _ffn_sublayer,
+    _finish_attn_sublayer,
+    encoder_forward,
+    standard_attention,
+)
 from lusoforge.errors import DataError
 from lusoforge.tokenizer import SPECIAL_TOKENS, _marked_words
 
@@ -77,3 +90,62 @@ def near_dup_reference(docs, n: int, t: float) -> list:
             kept.append(d)
             kept_shingles.append(sh)
     return kept
+
+
+def mlm_logits_reference(params, config, ids, segments=None, attn_mask=None, rng=None):
+    """MLM logits [B, S, V] with the decoder run over every position, each
+    decoding layer taking its keys and values from the previous layer's output."""
+    all_hidden = encoder_forward(params, config, ids, segments, attn_mask, rng)
+    h = all_hidden[-1]
+    b, s, _ = h.shape
+    if attn_mask is None:
+        attn_mask = np.ones((b, s), dtype=np.float32)
+    drop = config.dropout_rate
+    pos = ad.narrow(params["abspos.table"], 0, 0, s)
+    for j in range(config.emd_layers):
+        prefix = f"emd{j}"
+        q_in = ad.add(h, pos)
+        raw = standard_attention(q_in, h, attn_mask, params, prefix,
+                                 config.num_heads, drop, rng)
+        h = _finish_attn_sublayer(h, raw, params, prefix, config.layer_norm_eps, drop, rng)
+        h = _ffn_sublayer(h, params, prefix, config.layer_norm_eps, drop, rng)
+    # tied output projection: literally the embedding table, transposed in-graph
+    return ad.matmul(h, ad.swap_last2(ad.reshape(params["embed.tokens"],
+                                                 (1,) + params["embed.tokens"].shape)))
+
+
+def emd_paper_reference(params, config, H, attn_mask) -> np.ndarray:
+    """Logits [B, S, V] of the enhanced mask decoder in plain numpy, without
+    dropout: the query stream I starts at the encoder output H and is the only
+    state a layer updates; every layer's query is I plus the absolute position
+    embeddings, and its keys and values are projections of H."""
+    w = lambda name: params[name].data  # noqa: E731
+    b, s, h = H.shape
+    nh = config.num_heads
+    dh = h // nh
+    pos = w("abspos.table")[:s]
+    keep = np.asarray(attn_mask)[:, None, None, :] > 0
+
+    def heads(x):
+        return x.reshape(b, s, nh, dh).transpose(0, 2, 1, 3)
+
+    def norm(x, name):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (x - mu) / np.sqrt(var + config.layer_norm_eps) * w(f"{name}.gain") + w(f"{name}.bias")
+
+    I = H
+    for j in range(config.emd_layers):
+        p = f"emd{j}"
+        Q = heads((I + pos) @ w(f"{p}.attn.wq") + w(f"{p}.attn.bq"))
+        K = heads(H @ w(f"{p}.attn.wk") + w(f"{p}.attn.bk"))
+        V = heads(H @ w(f"{p}.attn.wv") + w(f"{p}.attn.bv"))
+        scores = np.where(keep, Q @ K.transpose(0, 1, 3, 2) / np.sqrt(dh), NEG_BIAS)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        ctx = (e / e.sum(axis=-1, keepdims=True)) @ V
+        ctx = ctx.transpose(0, 2, 1, 3).reshape(b, s, h)
+        I = norm(I + ctx @ w(f"{p}.attn.wo") + w(f"{p}.attn.bo"), f"{p}.attn.ln")
+        inner = I @ w(f"{p}.ffn.w1") + w(f"{p}.ffn.b1")
+        inner = 0.5 * inner * (1.0 + erf(inner / np.sqrt(2.0)))
+        I = norm(I + inner @ w(f"{p}.ffn.w2") + w(f"{p}.ffn.b2"), f"{p}.ffn.ln")
+    return I @ w("embed.tokens").T

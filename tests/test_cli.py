@@ -184,6 +184,49 @@ def test_corpus_filter_bad_near_dup_setting_is_usage_error(ws, tmp_path, capsys,
     assert f"usage error: {field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg_obj,message", [
+    ({"thresholds": {"min_char": 5}}, "config thresholds has unknown keys ['min_char']"),
+    ({"near_dup_jaccard": "high"}, "config near_dup_jaccard must be float, got 'high'"),
+])
+def test_corpus_filter_bad_config_value_is_usage_error(ws, tmp_path, capsys, cfg_obj, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_obj))
+    rc = cli.main(["corpus", "filter", "--input", str(ws["corpus"]), "--near-dups",
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_pretrain_bad_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"total_steps": "x"}))
+    rc = cli.main(["pretrain", "--input", "absent.jsonl", "--tokenizer", "absent.json",
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "usage error: config total_steps must be int, got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "filter", "--input", "absent.jsonl"],
+    ["corpus", "stats", "--input", "absent.jsonl"],
+    ["tokenizer", "train", "--input", "absent.jsonl"],
+    ["pretrain", "--input", "absent.jsonl", "--tokenizer", "absent.json"],
+    ["finetune", "--task", "rte", "--checkpoint", "x", "--tokenizer", "y", "--train", "z"],
+    ["sweep", "--task", "rte", "--checkpoint", "x", "--tokenizer", "y", "--train", "z",
+     "--test", "t"],
+    ["eval", "--task", "rte", "--checkpoint", "x", "--tokenizer", "y", "--data", "t"],
+    ["report", "--loss-log", "absent.csv"],
+])
+def test_bad_config_seed_is_usage_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "abc"}))
+    rc = cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "usage error: config seed must be int, got 'abc'" in capsys.readouterr().err
+
+
 def test_corpus_stats_cli(ws, tmp_path, capsys):
     out = tmp_path / "stats"
     assert cli.main(["corpus", "stats", "--input", str(ws["corpus"]),

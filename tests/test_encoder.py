@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import emd_paper_reference, mlm_logits_reference
 
 from lusoforge import autodiff as ad
 from lusoforge.autodiff import Tensor
@@ -29,7 +30,8 @@ from lusoforge.encoder import (
     relative_bucket,
     standard_attention,
 )
-from lusoforge.errors import ShapeError
+from lusoforge.errors import EmptyLossError, ShapeError
+from lusoforge.gradcheck import check_gradients
 
 
 def small_config(**overrides) -> EncoderConfig:
@@ -443,6 +445,125 @@ def test_emd_layer_count_respected():
     enc = DisentangledEncoder(cfg2, params)
     logits = enc.mlm_logits(np.array([[1, 2]]))
     assert logits.data.shape == (1, 2, cfg2.vocab_size)
+    # the second layer runs: it moves the logits, and they match the paper form
+    H = encoder_forward(params, cfg2, np.array([[1, 2]]))[-1].data
+    one_layer = emd_paper_reference(params, small_config(emd_layers=1), H, np.ones((1, 2)))
+    assert not np.allclose(logits.data, one_layer)
+    np.testing.assert_allclose(logits.data, emd_paper_reference(params, cfg2, H, np.ones((1, 2))),
+                               rtol=1e-9, atol=1e-12)
+
+
+# ------------------------------------------------- masked-only decoding
+
+def selected_logits_and_oracle(cfg, params, ids, mask, select):
+    """Selected-rows logits and the full-sequence oracle's rows at select."""
+    enc = DisentangledEncoder(cfg, params)
+    got = enc.mlm_logits(ids, attn_mask=mask, rng=None, select=select).data
+    want = mlm_logits_reference(params, cfg, ids, attn_mask=mask).data[select]
+    return got, want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_selected_rows_match_full_decoder_oracle(data):
+    b = data.draw(st.integers(1, 3), label="batch")
+    s = data.draw(st.integers(1, 10), label="seq")
+    lengths = data.draw(st.lists(st.integers(1, s), min_size=b, max_size=b), label="lengths")
+    select = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=s, max_size=s),
+                                         min_size=b, max_size=b), label="select"), dtype=bool)
+    if not select.any():
+        select[data.draw(st.integers(0, b - 1)), data.draw(st.integers(0, s - 1))] = True
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    cfg = small_config()
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, cfg.vocab_size, size=(b, s))
+    mask = (np.arange(s)[None, :] < np.array(lengths)[:, None]).astype(np.float64)
+    got, want = selected_logits_and_oracle(cfg, params64(cfg, seed), ids, mask, select)
+    assert got.shape == (int(select.sum()), cfg.vocab_size)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_selected_rows_cover_empty_full_single_and_padded_rows():
+    cfg = small_config()
+    ids = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(4, 7))
+    mask = np.ones((4, 7))
+    mask[3, 4:] = 0.0                          # padded keys
+    select = np.zeros((4, 7), dtype=bool)      # row 0 selects nothing
+    select[1] = True                           # fully selected row
+    select[2, 5] = True                        # a single selected position
+    select[3, [0, 3]] = True
+    got, want = selected_logits_and_oracle(cfg, params64(cfg, 31), ids, mask, select)
+    assert got.shape == (10, cfg.vocab_size)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_select_none_decodes_every_position():
+    cfg = small_config()
+    params = params64(cfg, 32)
+    ids = np.array([[3, 4, 5, 6], [7, 8, 9, 10]])
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float64)
+    got = DisentangledEncoder(cfg, params).mlm_logits(ids, attn_mask=mask).data
+    want = mlm_logits_reference(params, cfg, ids, attn_mask=mask).data
+    assert got.shape == (2, 4, cfg.vocab_size)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("select", [
+    np.ones((1, 3), dtype=bool),               # too few positions
+    np.ones((2, 4), dtype=bool),               # too many rows
+    np.ones((1, 4), dtype=np.int64),           # not bool
+    np.ones((1, 4), dtype=np.float64),
+])
+def test_select_of_wrong_shape_or_dtype_is_shape_error(select):
+    cfg = small_config()
+    enc = DisentangledEncoder(cfg, params64(cfg, 33))
+    with pytest.raises(ShapeError):
+        enc.mlm_logits(np.array([[1, 2, 3, 4]]), select=select)
+
+
+def test_all_false_select_is_empty_loss_error():
+    cfg = small_config()
+    enc = DisentangledEncoder(cfg, params64(cfg, 34))
+    with pytest.raises(EmptyLossError):
+        enc.mlm_logits(np.array([[1, 2, 3, 4]]), select=np.zeros((1, 4), dtype=bool))
+
+
+def test_two_layer_decoder_keeps_keys_and_values_at_encoder_output():
+    cfg = small_config(emd_layers=2)
+    params = params64(cfg, 35)
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, cfg.vocab_size, size=(3, 8))
+    mask = np.ones((3, 8))
+    mask[1, 5:] = 0.0
+    select = rng.random((3, 8)) < 0.5
+    select[0] = False
+    select[2, 2] = True
+    enc = DisentangledEncoder(cfg, params)
+    got = enc.mlm_logits(ids, attn_mask=mask, select=select).data
+    H = encoder_forward(params, cfg, ids, attn_mask=mask)[-1].data
+    np.testing.assert_allclose(got, emd_paper_reference(params, cfg, H, mask)[select],
+                               rtol=1e-9, atol=1e-12)
+
+
+def test_selected_path_gradients_at_two_decoder_layers():
+    cfg = small_config(emd_layers=2)
+    params = params64(cfg, 36)
+    enc = DisentangledEncoder(cfg, params)
+    rng = np.random.default_rng(7)
+    ids = rng.integers(5, cfg.vocab_size, size=(2, 6))
+    mask = np.ones((2, 6))
+    mask[1, 4:] = 0.0                          # padded keys in the checked graph
+    select = np.zeros((2, 6), dtype=bool)
+    select[0, [1, 4]] = True
+    select[1, 2] = True
+    labels = rng.integers(5, cfg.vocab_size, size=(2, 6))[select]
+
+    def loss_fn():
+        logits = enc.mlm_logits(ids, attn_mask=mask, rng=None, select=select)
+        return ad.cross_entropy(logits, labels)
+
+    res = check_gradients(loss_fn, params, rtol=1e-2, atol=1e-6)
+    assert res.passed, res.summary()
 
 
 # ----------------------------------------------------------------- presets
