@@ -76,7 +76,10 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
         raise DataError(f"checkpoint {path} has a corrupt header: {e}") from e
     if header.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format version {header.get('format_version')!r}")
-    config = EncoderConfig(**header["config"])
+    try:
+        config = EncoderConfig(**header["config"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"checkpoint {path} has an invalid config: {e}") from e
     payload = raw[8 + header_len :]
     tensors: dict[str, np.ndarray] = {}
     for name, entry in header["tensors"].items():

@@ -271,6 +271,21 @@ def _task_spec(name: str) -> ft.TaskSpec:
     return ft.TASKS[name]
 
 
+def _task_inputs(args, spec: ft.TaskSpec, fields: dict, seed: int):
+    """Checkpoint, tokenizer, and the train and dev examples of a run: dev from
+    --dev, or else carved from train by fields["dev_fraction"] and the seed."""
+    if fields["batch_size"] < 1:
+        raise UsageError(f"batch_size must be >= 1, got {fields['batch_size']}")
+    enc_config, arrays, _ = load_checkpoint(args.checkpoint)
+    tokenizer = tok_mod.load_tokenizer(args.tokenizer)
+    train_ex = ft.read_task_tsv(args.train, spec, "train")
+    if args.dev:
+        dev_ex = ft.read_task_tsv(args.dev, spec, "dev")
+    else:
+        train_ex, dev_ex = ft.split_train_dev(train_ex, fields["dev_fraction"], seed)
+    return enc_config, arrays, tokenizer, train_ex, dev_ex
+
+
 def _cmd_finetune(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _seed(args, file_cfg)
@@ -282,13 +297,7 @@ def _cmd_finetune(args) -> int:
     })
     gp = ft.GridPoint(dropout=fields["dropout"], lr=fields["lr"],
                       precision=fields["precision"], seed=seed)
-    enc_config, arrays, _ = load_checkpoint(args.checkpoint)
-    tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    train_ex = ft.read_task_tsv(args.train, spec, "train")
-    if args.dev:
-        dev_ex = ft.read_task_tsv(args.dev, spec, "dev")
-    else:
-        train_ex, dev_ex = ft.split_train_dev(train_ex, fields["dev_fraction"], seed)
+    enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, seed)
     model = ft.attach_head(enc_config, params_from_arrays(arrays), spec.head_type,
                            dropout=gp.dropout, seed=gp.seed)
     result = ft.finetune(model, train_ex, dev_ex, gp, spec, tokenizer,
@@ -328,13 +337,7 @@ def _cmd_sweep(args) -> int:
     fields = _resolve_fields(args, file_cfg, {
         "grid": "full", "epochs": 5, "batch_size": 16, "seq_len": 128, "dev_fraction": 0.1,
     })
-    enc_config, arrays, _ = load_checkpoint(args.checkpoint)
-    tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    train_ex = ft.read_task_tsv(args.train, spec, "train")
-    if args.dev:
-        dev_ex = ft.read_task_tsv(args.dev, spec, "dev")
-    else:
-        train_ex, dev_ex = ft.split_train_dev(train_ex, fields["dev_fraction"], seed)
+    enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, seed)
     test_ex = ft.read_task_tsv(args.test, spec, "test")
     if fields["grid"] == "full":
         grid = ft.full_grid()
@@ -373,23 +376,20 @@ def _cmd_eval(args) -> int:
     seed = _seed(args, file_cfg)
     out = _out_dir(args)
     spec = _task_spec(args.task)
+    fields = _resolve_fields(args, file_cfg, {"seq_len": 128})
     enc_config, arrays, meta = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
     examples = ft.read_task_tsv(args.data, spec, "test")
     model = ft.load_task_model(enc_config, arrays, meta.get("head_type", spec.head_type))
-    encoded, labels = ft._encode_examples(examples, tokenizer, args.seq_len or 128)
-    preds = ft.predict(model, encoded, label_range=spec.label_range)
-    if spec.head_type == "regression":
-        score = ft.metric_fn(spec)(list(preds), list(labels))
-    else:
-        score = ft.metric_fn(spec)([int(p) for p in preds], [int(g) for g in labels])
-    report = {"task": spec.name, "metric": spec.metric, "score": float(score),
+    encoded, labels = ft.encode_examples(examples, tokenizer, fields["seq_len"])
+    score = ft.evaluate(model, encoded, labels, spec)
+    report = {"task": spec.name, "metric": spec.metric, "score": score,
               "examples": len(examples)}
     path = out / "eval_report.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    man = _manifest("eval", {"task": spec.name}, seed)
-    man.add_input(args.checkpoint)
-    man.add_input(args.data)
+    man = _manifest("eval", {**fields, "task": spec.name}, seed)
+    for p in (args.checkpoint, args.tokenizer, args.data):
+        man.add_input(p)
     man.add_output(path)
     man.write(out / "manifest.json")
     print(f"{spec.metric} {score:.4f} over {len(examples)} examples -> {path}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from lusoforge import autodiff as ad
 from lusoforge.autodiff import Tensor
-from lusoforge.errors import EmptyLossError, ShapeError
+from lusoforge.errors import EmptyLossError, ShapeError, UsageError
 
 NEG_BIAS = -1e9  # finite stand-in for -inf; keeps softmax NaN-free
 
@@ -54,13 +54,13 @@ class EncoderConfig:
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )
         if self.relative_window < 1:
-            raise ValueError("relative_window must be >= 1")
+            raise UsageError("relative_window must be >= 1")
         if self.emd_layers < 1:
-            raise ValueError("emd_layers must be >= 1")
+            raise UsageError("emd_layers must be >= 1")
         if self.conv_kernel_size % 2 != 1:
-            raise ValueError("conv_kernel_size must be odd")
+            raise UsageError("conv_kernel_size must be odd")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise UsageError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def head_dim(self) -> int:
@@ -290,8 +290,13 @@ def _ffn_sublayer(x: Tensor, params, prefix, eps, dropout_rate, rng) -> Tensor:
                          params[f"{prefix}.ffn.ln.gain"], params[f"{prefix}.ffn.ln.bias"], eps)
 
 
-def _finish_attn_sublayer(residual: Tensor, raw: Tensor, params, prefix, eps, dropout_rate, rng) -> Tensor:
+def _finish_attn_sublayer(residual: Tensor, raw: Tensor, params, prefix, eps, dropout_rate, rng,
+                          addend: Tensor | None = None) -> Tensor:
+    """Output projection, then `addend` (layer 0's conv branch, which wo does
+    not project), dropout, residual and layer norm."""
     out = ad.add(ad.matmul(raw, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
+    if addend is not None:
+        out = ad.add(out, addend)
     out = ad.dropout(out, dropout_rate, rng)
     return ad.layer_norm(ad.add(residual, out),
                          params[f"{prefix}.attn.ln.gain"], params[f"{prefix}.attn.ln.bias"], eps)
@@ -351,19 +356,10 @@ def encoder_forward(
         prefix = f"layer{i}"
         ctx, _ = disentangled_attention(h, P, attn_mask, params, prefix,
                                         config.num_heads, drop, rng)
-        raw = ctx
-        if i == 0:
-            conv = conv1d_same(h, attn_mask, params["conv.kernel"], params["conv.bias"])
-            # summed with the attention context ahead of the shared output
-            # projection's residual/norm; wo applies to the attention path only
-            att = ad.add(ad.matmul(raw, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
-            merged = ad.add(att, conv)
-            merged = ad.dropout(merged, drop, rng)
-            h = ad.layer_norm(ad.add(h, merged),
-                              params[f"{prefix}.attn.ln.gain"], params[f"{prefix}.attn.ln.bias"],
-                              config.layer_norm_eps)
-        else:
-            h = _finish_attn_sublayer(h, raw, params, prefix, config.layer_norm_eps, drop, rng)
+        conv = (conv1d_same(h, attn_mask, params["conv.kernel"], params["conv.bias"])
+                if i == 0 else None)
+        h = _finish_attn_sublayer(h, ctx, params, prefix, config.layer_norm_eps, drop, rng,
+                                  addend=conv)
         h = _ffn_sublayer(h, params, prefix, config.layer_norm_eps, drop, rng)
         hidden.append(h)
     return hidden

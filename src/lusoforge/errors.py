@@ -10,8 +10,8 @@ class LusoforgeError(Exception):
     pass
 
 
-class UsageError(LusoforgeError):
-    """Bad command line or configuration."""
+class UsageError(LusoforgeError, ValueError):
+    """Bad command line or configuration, including an out-of-range setting."""
 
 
 class DataError(LusoforgeError):

@@ -6,6 +6,11 @@ looks only at development scores (mean over seeds); the reported number is
 the selected configuration's test mean. Test scores are recorded for every
 run but never consulted during selection.
 
+Task examples come from TSV files (`read_task_tsv`) and are tokenized by
+`encode_examples`. One scorer, `evaluate`, turns predictions into the task
+metric: every epoch's dev score, every grid run's test score and the CLI's
+`eval` all go through it.
+
 Half precision is emulated: parameters are rounded through float16 storage
 after each optimizer step while all arithmetic stays float32.
 """
@@ -13,8 +18,6 @@ after each optimizer step while all arithmetic stays float32.
 from __future__ import annotations
 
 import json
-import warnings
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 from typing import Callable, Sequence
@@ -26,15 +29,13 @@ from lusoforge import metrics as met
 from lusoforge import tokenizer as tok_mod
 from lusoforge.autodiff import Tensor
 from lusoforge.encoder import DisentangledEncoder, EncoderConfig, is_emd_param
-from lusoforge.errors import DataError
+from lusoforge.errors import DataError, UsageError
 from lusoforge.optim import Adam
 
 GRID_DROPOUTS = (0.0, 0.1)
 GRID_LRS = (1e-6, 5e-6, 1e-5)
 GRID_PRECISIONS = ("fp32", "fp16")
 GRID_SEEDS = (41, 42, 43)
-
-ASSIN2_EXPECTED_SIZES = {"train": 6500, "dev": 500, "test": 2448}
 
 
 @dataclass
@@ -117,37 +118,11 @@ def write_task_tsv(examples: Sequence[TaskExample], path: str | Path, spec: Task
             f.write(f"{a}\t{b}\t{label}\n")
 
 
-def import_assin2_xml(path: str | Path, split: str) -> tuple[list[TaskExample], list[TaskExample]]:
-    """Read one ASSIN-2-format XML file into (entailment, similarity) examples.
-
-    Warns when the split's example count differs from the published sizes
-    (6500 train / 500 dev / 2448 test).
-    """
-    try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as e:
-        raise DataError(f"{path}: invalid XML: {e}") from e
-    rte: list[TaskExample] = []
-    sts: list[TaskExample] = []
-    for pair in root.iter("pair"):
-        t = (pair.findtext("t") or "").strip()
-        h = (pair.findtext("h") or "").strip()
-        ent = pair.get("entailment", "")
-        sim = pair.get("similarity")
-        rte.append(TaskExample(t, h, 1.0 if ent.lower() == "entailment" else 0.0, split))
-        if sim is not None:
-            sts.append(TaskExample(t, h, float(sim), split))
-    expected = ASSIN2_EXPECTED_SIZES.get(split)
-    if expected is not None and len(rte) != expected:
-        warnings.warn(f"{path}: {split} split has {len(rte)} pairs, expected {expected}")
-    return rte, sts
-
-
 def split_train_dev(examples: Sequence[TaskExample], dev_fraction: float = 0.1,
                     seed: int = 0) -> tuple[list[TaskExample], list[TaskExample]]:
     """Deterministic shuffled split; dev gets max(1, floor(n * fraction))."""
     if not 0.0 < dev_fraction < 1.0:
-        raise ValueError(f"dev_fraction {dev_fraction} outside (0, 1)")
+        raise UsageError(f"dev_fraction {dev_fraction} outside (0, 1)")
     n = len(examples)
     if n < 2:
         raise DataError(f"need at least 2 examples to split, got {n}")
@@ -244,7 +219,8 @@ def load_task_model(enc_config: EncoderConfig, arrays: dict[str, np.ndarray],
 # fine-tuning one run
 
 
-def _encode_examples(examples, tokenizer, seq_len):
+def encode_examples(examples, tokenizer, seq_len):
+    """Token sequences and float labels of task examples."""
     encoded = [tok_mod.encode_pair(tokenizer, ex.sentence_a, ex.sentence_b, seq_len)
                for ex in examples]
     labels = np.asarray([ex.label for ex in examples], dtype=np.float64)
@@ -281,6 +257,16 @@ def predict(model: TaskModel, encoded, batch_size: int = 32,
     return np.concatenate(preds) if preds else np.zeros(0)
 
 
+def evaluate(model: TaskModel, encoded, labels, spec: TaskSpec) -> float:
+    """The task metric of the model's predictions against gold labels."""
+    preds = predict(model, encoded, label_range=spec.label_range)
+    if spec.head_type == "regression":
+        score = metric_fn(spec)(list(preds), list(labels))
+    else:
+        score = metric_fn(spec)([int(p) for p in preds], [int(g) for g in labels])
+    return float(score)
+
+
 def _round_fp16(params: dict[str, Tensor]):
     for p in params.values():
         p.data = p.data.astype(np.float16).astype(np.float32)
@@ -306,11 +292,10 @@ def finetune(model: TaskModel, train_examples, dev_examples, grid_point: GridPoi
         raise DataError("finetune: dev split is empty")
     if not train_examples:
         raise DataError("finetune: train split is empty")
-    train_enc, train_labels = _encode_examples(train_examples, tokenizer, seq_len)
-    dev_enc, dev_labels = _encode_examples(dev_examples, tokenizer, seq_len)
+    train_enc, train_labels = encode_examples(train_examples, tokenizer, seq_len)
+    dev_enc, dev_labels = encode_examples(dev_examples, tokenizer, seq_len)
 
     opt = Adam(model.params, lr=grid_point.lr)
-    score = metric_fn(spec)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([grid_point.seed, 11]))
     dropout_rng = (np.random.default_rng(np.random.SeedSequence([grid_point.seed, 13]))
                    if grid_point.dropout > 0 else None)
@@ -336,14 +321,10 @@ def finetune(model: TaskModel, train_examples, dev_examples, grid_point: GridPoi
             opt.step()
             if grid_point.precision == "fp16":
                 _round_fp16(model.params)
-        preds = predict(model, dev_enc, label_range=spec.label_range)
-        if model.head_type == "regression":
-            s = score(list(preds), list(dev_labels))
-        else:
-            s = score([int(p) for p in preds], [int(g) for g in dev_labels])
-        epoch_scores.append(float(s))
+        s = evaluate(model, dev_enc, dev_labels, spec)
+        epoch_scores.append(s)
         if s > best_score:
-            best_score = float(s)
+            best_score = s
             best_epoch = epoch
             best_state = {k: p.data.copy() for k, p in model.params.items()}
 
@@ -469,7 +450,7 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
     grid = list(grid) if grid is not None else full_grid()
     if not grid:
         raise DataError("run_grid: empty grid")
-    test_enc, test_labels = _encode_examples(test_examples, tokenizer, seq_len)
+    test_enc, test_labels = encode_examples(test_examples, tokenizer, seq_len)
 
     def one_run(index: int, gp: GridPoint) -> RunRecord:
         record = RunRecord(index=index, dropout=gp.dropout, lr=gp.lr,
@@ -480,14 +461,8 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
             result = finetune(model, train_examples, dev_examples, gp, spec,
                               tokenizer, seq_len=seq_len, epochs=epochs,
                               batch_size=batch_size)
-            preds = predict(result.model, test_enc, label_range=spec.label_range)
-            if spec.head_type == "regression":
-                test_score = metric_fn(spec)(list(preds), list(test_labels))
-            else:
-                test_score = metric_fn(spec)([int(p) for p in preds],
-                                             [int(g) for g in test_labels])
             record.dev_score = result.dev_score
-            record.test_score = float(test_score)
+            record.test_score = evaluate(result.model, test_enc, test_labels, spec)
             record.best_epoch = result.best_epoch
         except Exception as e:  # a failed point must not sink the sweep
             record.status = "failed"

@@ -21,8 +21,8 @@ import numpy as np
 from lusoforge import autodiff as ad
 from lusoforge import tokenizer as tok_mod
 from lusoforge.checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
-from lusoforge.encoder import DisentangledEncoder, EncoderConfig, init_params, preset
-from lusoforge.errors import DataError, NumericalError
+from lusoforge.encoder import PRESETS, DisentangledEncoder, EncoderConfig, init_params, preset
+from lusoforge.errors import DataError, NumericalError, UsageError
 from lusoforge.optim import Adam
 from lusoforge.tokenizer import MASK, PAD
 
@@ -49,12 +49,17 @@ class TrainRunConfig:
     init_checkpoint: str | None = None
 
     def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise UsageError(f"unknown preset {self.preset!r}; have {sorted(PRESETS)}")
         if not (self.total_steps >= self.warmup_steps >= 0):
-            raise ValueError(
+            raise UsageError(
                 f"need total_steps >= warmup_steps >= 0, got {self.total_steps}/{self.warmup_steps}"
             )
-        if not 0.0 <= self.mask_rate <= 1.0:
-            raise ValueError(f"mask_rate {self.mask_rate} outside [0, 1]")
+        if not 0.0 < self.mask_rate <= 1.0:  # at 0 no window has a target and no step is taken
+            raise UsageError(f"mask_rate {self.mask_rate} outside (0, 1]")
+        if self.micro_batch_size < 1 or self.accumulation_steps < 1:
+            raise UsageError(f"need micro_batch_size >= 1 and accumulation_steps >= 1, got "
+                             f"{self.micro_batch_size}/{self.accumulation_steps}")
 
     @property
     def effective_batch(self) -> int:

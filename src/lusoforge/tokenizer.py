@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from lusoforge.errors import DataError
+from lusoforge.errors import DataError, UsageError
 
 MARKER = "▁"
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
@@ -214,7 +214,7 @@ def encode(model: TokenizerModel, text: str, max_len: int = 128, add_specials: b
     """Tokenize one text. With add_specials the result is [CLS] ... [SEP],
     truncated so the total length never exceeds max_len and SEP stays last."""
     if add_specials and max_len < 2:
-        raise ValueError(f"max_len {max_len} leaves no room for CLS/SEP")
+        raise UsageError(f"max_len {max_len} leaves no room for CLS/SEP")
     ids = _text_to_ids(model, text)
     if add_specials:
         ids = [CLS] + ids[: max_len - 2] + [SEP]
@@ -229,7 +229,7 @@ def encode_pair(model: TokenizerModel, text_a: str, text_b: str, max_len: int = 
     Segment ids are 0 through the first SEP and 1 afterwards.
     """
     if max_len < 3:
-        raise ValueError(f"max_len {max_len} leaves no room for CLS/SEP/SEP")
+        raise UsageError(f"max_len {max_len} leaves no room for CLS/SEP/SEP")
     a = _text_to_ids(model, text_a)
     b = _text_to_ids(model, text_b)
     budget = max_len - 3

@@ -227,6 +227,40 @@ def test_bad_config_seed_is_usage_error(tmp_path, capsys, argv):
     assert "usage error: config seed must be int, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra, config", [
+    ("finetune", [], {"dev_fraction": 1.5}),
+    ("finetune", ["--dropout", "1.5"], None),
+    ("finetune", ["--batch-size", "0"], None),
+    ("sweep", ["--batch-size", "0"], None),
+    ("finetune", ["--seq-len", "2"], None),
+    ("sweep", ["--seq-len", "2"], None),
+    ("pretrain", ["--warmup-steps", "5", "--total-steps", "2"], None),
+    ("pretrain", ["--micro-batch-size", "0"], None),
+    ("pretrain", ["--preset", "nope"], None),
+    ("pretrain", ["--mask-rate", "0"], None),
+])
+def test_out_of_range_setting_is_usage_error(ws, tmp_path, capsys, command, extra, config):
+    out = tmp_path / "out"
+    if command == "pretrain":
+        argv = ["pretrain", "--input", str(ws["filtered"]), "--tokenizer", str(ws["vocab"])]
+    else:
+        argv = [command, "--task", "rte", "--checkpoint", str(ws["pre"] / "model.ckpt"),
+                "--tokenizer", str(ws["vocab"]), "--train", str(ws["train_tsv"])]
+        if command == "sweep":
+            argv += ["--test", str(ws["test_tsv"])]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    rc = cli.main(argv + extra + ["--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("usage error: ")]) == 1
+    assert "Traceback" not in err
+    # rejected before any training: nothing but the output directory exists
+    assert list(out.iterdir()) == []
+
+
 def test_corpus_stats_cli(ws, tmp_path, capsys):
     out = tmp_path / "stats"
     assert cli.main(["corpus", "stats", "--input", str(ws["corpus"]),
@@ -371,6 +405,51 @@ def test_eval_needs_task_head(ws, tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert rc == 2
     assert "head" in capsys.readouterr().err
+
+
+def test_eval_seq_len_from_config_file(ws, tmp_path, caplog, monkeypatch):
+    seen = []
+    encode = ft.encode_examples
+
+    def spy(examples, tokenizer, seq_len):
+        seen.append(seq_len)
+        return encode(examples, tokenizer, seq_len)
+
+    monkeypatch.setattr(ft, "encode_examples", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seq_len": 12}))
+    out = tmp_path / "eval"
+    with caplog.at_level("INFO", logger="lusoforge"):
+        rc = cli.main(["eval", "--task", "rte",
+                       "--checkpoint", str(ws["fin"] / "model_finetuned.ckpt"),
+                       "--tokenizer", str(ws["vocab"]), "--data", str(ws["test_tsv"]),
+                       "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    assert seen == [12]
+    assert "config seq_len=12 (config-file)" in caplog.text
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["seq_len"] == 12
+    assert man["input_digests"][str(ws["vocab"])] == hashlib.sha256(ws["vocab"].read_bytes()).hexdigest()
+
+
+def test_finetune_and_sweep_carve_the_same_dev_split(ws, tmp_path, monkeypatch):
+    seen = []
+
+    def record(model, train_examples, dev_examples, *a, **kw):
+        seen.append(([e.sentence_a for e in train_examples], [e.sentence_a for e in dev_examples]))
+        raise DataError("stop after the split")
+
+    monkeypatch.setattr(ft, "finetune", record)
+    common = ["--task", "rte", "--checkpoint", str(ws["pre"] / "model.ckpt"),
+              "--tokenizer", str(ws["vocab"]), "--train", str(ws["train_tsv"]),
+              "--epochs", "1", "--seq-len", "32", "--seed", "5"]
+    assert cli.main(["finetune", *common, "--out", str(tmp_path / "fin")]) == 2
+    assert cli.main(["sweep", *common, "--test", str(ws["test_tsv"]), "--grid", "quick",
+                     "--out", str(tmp_path / "sweep")]) == 2
+    assert len(seen) == 4
+    train, dev = seen[0]
+    assert len(dev) == 2 and len(train) == 22
+    assert all(s == (train, dev) for s in seen[1:])
 
 
 def test_sweep_quick_cli(ws, tmp_path, capsys):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from lusoforge import tokenizer as tok_mod
 from lusoforge.encoder import init_params, is_emd_param, preset
 from lusoforge.errors import DataError
 from lusoforge.finetune import (
-    ASSIN2_EXPECTED_SIZES,
     GRID_SEEDS,
     TASKS,
     ConfigRow,
@@ -28,7 +26,6 @@ from lusoforge.finetune import (
     finetune,
     full_grid,
     group_runs,
-    import_assin2_xml,
     load_task_model,
     metric_fn,
     predict,
@@ -207,65 +204,6 @@ def test_tsv_skips_blank_lines(tmp_path):
     path.write_text("sentence_a\tsentence_b\tlabel\na\tb\t1\n\nc\td\t0\n", encoding="utf-8")
     back = read_task_tsv(path, RTE)
     assert len(back) == 2
-
-
-# ---------------------------------------------------------------------------
-# assin-2 xml import
-
-ASSIN2_SAMPLE = """<?xml version="1.0" encoding="utf-8"?>
-<entailment-corpus>
-  <pair entailment="Entailment" similarity="4.5" id="1">
-    <t> O gato dorme no sofa. </t>
-    <h>Um animal dorme.</h>
-  </pair>
-  <pair entailment="None" similarity="1.0" id="2">
-    <t>Chove na cidade.</t>
-    <h>O dia esta seco.</h>
-  </pair>
-  <pair entailment="entailment" id="3">
-    <t>Ela canta bem.</t>
-    <h>Ela canta.</h>
-  </pair>
-</entailment-corpus>
-"""
-
-
-def test_assin2_import(tmp_path):
-    path = tmp_path / "sample.xml"
-    path.write_text(ASSIN2_SAMPLE, encoding="utf-8")
-    rte, sts = import_assin2_xml(path, "sample")
-    assert [e.label for e in rte] == [1.0, 0.0, 1.0]
-    assert rte[0].sentence_a == "O gato dorme no sofa."  # stripped
-    assert rte[0].split == "sample"
-    # the third pair carries no similarity attribute
-    assert [e.label for e in sts] == [4.5, 1.0]
-    assert sts[1].sentence_b == "O dia esta seco."
-
-
-def test_assin2_unknown_split_is_silent(tmp_path):
-    path = tmp_path / "sample.xml"
-    path.write_text(ASSIN2_SAMPLE, encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        import_assin2_xml(path, "sample")
-
-
-def test_assin2_count_mismatch_warns(tmp_path):
-    path = tmp_path / "dev.xml"
-    path.write_text(ASSIN2_SAMPLE, encoding="utf-8")
-    with pytest.warns(UserWarning, match="expected 500"):
-        import_assin2_xml(path, "dev")
-
-
-def test_assin2_invalid_xml(tmp_path):
-    path = tmp_path / "broken.xml"
-    path.write_text("<pairs><pair>", encoding="utf-8")
-    with pytest.raises(DataError, match="invalid XML"):
-        import_assin2_xml(path, "train")
-
-
-def test_assin2_expected_sizes():
-    assert ASSIN2_EXPECTED_SIZES == {"train": 6500, "dev": 500, "test": 2448}
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +427,31 @@ def test_predict_batch_size_invariant(task_micro, task_tokenizer, small_splits):
     b = predict(model, encoded, batch_size=2)
     # dropout is inert without an rng, so chunking must not matter
     assert np.array_equal(a, b)
+
+
+def test_evaluate_scores_clipped_regression(task_micro, task_tokenizer, small_splits):
+    cfg, params = task_micro
+    model = attach_head(cfg, params, "regression", seed=1)
+    encoded = encode_all(task_tokenizer, small_splits[1])
+    # centre the raw outputs on the top of STS's label range, so half get clipped
+    model.params["head.b"].data += np.float32(5.0 - np.median(predict(model, encoded)))
+    raw = predict(model, encoded)
+    assert raw.min() < 5.0 < raw.max()
+    score = ft.evaluate(model, encoded, raw, STS)
+    assert isinstance(score, float)
+    assert score == pearson(list(np.clip(raw, 1.0, 5.0)), list(raw))
+    assert score < pearson(list(raw), list(raw))
+
+
+def test_evaluate_casts_classification_labels_to_int(task_micro, task_tokenizer, small_splits):
+    cfg, params = task_micro
+    model = attach_head(cfg, params, "binary_classification", seed=1)
+    encoded = encode_all(task_tokenizer, small_splits[0])
+    preds = predict(model, encoded)
+    # int() truncates 0.5 and 1.5 back to the predicted classes
+    score = ft.evaluate(model, encoded, preds + 0.5, RTE)
+    assert isinstance(score, float) and score == 1.0
+    assert ft.evaluate(model, encoded, 1.0 - preds, RTE) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ log, checkpointing, and short end-to-end training runs."""
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,6 +317,20 @@ def test_checkpoint_header_corruption_detected(tmp_path, micro_config):
     raw[12] ^= 0xFF  # inside the JSON header
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_out_of_range_config_is_data_error(tmp_path, micro_config):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, micro_config, DisentangledEncoder(micro_config, seed=3).params)
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8 : 8 + n])
+    header["config"]["dropout_rate"] = 1.5
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + n :])
+    # a bad file is a data error, not the usage error a bad flag would be
+    with pytest.raises(DataError, match="invalid config"):
         load_checkpoint(path)
 
 
