@@ -54,16 +54,33 @@ def _load_config_file(path: Path | None) -> dict:
 
 
 def _cast(name: str, value, kind: type):
-    """kind(value), with a value that does not convert reported as a usage error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"config {name} must be {kind.__name__}, got {value!r}") from None
+    """`value` as `kind`, or a usage error. A bool field takes only true or
+    false, a str field only a string, an int field no number with a
+    fraction, and a bool is never a number."""
+    if kind is bool or isinstance(value, bool):
+        converted = value if kind is bool and isinstance(value, bool) else None
+    elif kind is str:
+        converted = value if isinstance(value, str) else None
+    else:
+        try:
+            converted = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            converted = None
+        if kind is int and isinstance(value, float) and converted != value:
+            converted = None
+    if converted is None:
+        raise UsageError(f"config {name} must be {kind.__name__}, got {value!r}")
+    return converted
+
+
+# the kind of each config field whose default is None; null keeps the default
+_OPTIONAL_KINDS = {"country_code": str, "dropout_rate": float, "init_checkpoint": str}
 
 
 def _resolve_fields(args, file_cfg: dict, defaults: dict) -> dict:
     """CLI flag > config file > default, logged per field. A config-file
-    value takes the type of its default, unless that default is None."""
+    value takes the type of its default, or its `_OPTIONAL_KINDS` entry
+    where the default is None."""
     resolved = {}
     for name, default in defaults.items():
         cli_val = getattr(args, name, None)
@@ -72,7 +89,10 @@ def _resolve_fields(args, file_cfg: dict, defaults: dict) -> dict:
             source = "cli"
         elif name in file_cfg:
             value = file_cfg[name]
-            resolved[name] = value if default is None else _cast(name, value, type(default))
+            if default is None:
+                resolved[name] = None if value is None else _cast(name, value, _OPTIONAL_KINDS[name])
+            else:
+                resolved[name] = _cast(name, value, type(default))
             source = "config-file"
         else:
             resolved[name] = default
@@ -178,8 +198,8 @@ def _cmd_corpus_filter(args) -> int:
     thresholds = _thresholds(file_cfg.get("thresholds", {}))
     config = corpus_mod.PipelineConfig(
         country_code=fields["country_code"],
-        deduplicate=bool(fields["deduplicate"]),
-        near_duplicates=bool(fields["near_duplicates"]),
+        deduplicate=fields["deduplicate"],
+        near_duplicates=fields["near_duplicates"],
         near_dup_jaccard=fields["near_dup_jaccard"],
         near_dup_ngram=fields["near_dup_ngram"],
         thresholds=thresholds,
@@ -273,9 +293,12 @@ def _task_spec(name: str) -> ft.TaskSpec:
 
 def _task_inputs(args, spec: ft.TaskSpec, fields: dict, seed: int):
     """Checkpoint, tokenizer, and the train and dev examples of a run: dev from
-    --dev, or else carved from train by fields["dev_fraction"] and the seed."""
+    --dev, or else carved from train by fields["dev_fraction"] and the seed.
+    batch_size and epochs are range-checked before anything is loaded."""
     if fields["batch_size"] < 1:
         raise UsageError(f"batch_size must be >= 1, got {fields['batch_size']}")
+    if fields["epochs"] < 1:
+        raise UsageError(f"epochs must be >= 1, got {fields['epochs']}")
     enc_config, arrays, _ = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
     train_ex = ft.read_task_tsv(args.train, spec, "train")

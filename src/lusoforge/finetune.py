@@ -18,6 +18,7 @@ after each optimizer step while all arithmetic stays float32.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 from typing import Callable, Sequence
@@ -145,6 +146,14 @@ class GridPoint:
     lr: float
     precision: str
     seed: int
+
+    def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 <= self.lr < math.inf:  # 0 is allowed: the run leaves the weights as they are
+            raise UsageError(f"lr must be >= 0 and finite, got {self.lr}")
+        if self.precision not in GRID_PRECISIONS:
+            raise UsageError(f"precision must be one of {GRID_PRECISIONS}, got {self.precision!r}")
 
     @property
     def config_key(self) -> tuple:

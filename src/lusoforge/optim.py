@@ -3,7 +3,10 @@
 Moment buffers live in plain float32 numpy arrays parallel to the parameter
 dict. step() checks every gradient for NaN/inf before touching parameters
 and aborts with the offending parameter's name, so a poisoned update never
-lands.
+lands. The moments and the parameters are updated in place, through one
+scratch buffer per parameter; a parameter array therefore must not be
+shared with anything that expects it to stay fixed (models copy the arrays
+they are built from).
 """
 
 from __future__ import annotations
@@ -60,14 +63,22 @@ class Adam:
                 continue
             m = self.m[name]
             v = self.v[name]
+            s = np.empty_like(p.data)  # the one scratch buffer of this update
+            np.multiply(g, 1.0 - b1, out=s)
             m *= b1
-            m += (1.0 - b1) * g
+            m += s
+            np.multiply(g, g, out=s)
+            s *= 1.0 - b2
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, s, out=s)
+            s *= self.lr / bc1
             if self.weight_decay and self._decays(name):
-                update = update + self.weight_decay * p.data
-            p.data = (p.data - self.lr * update).astype(p.data.dtype, copy=False)
+                p.data *= 1.0 - self.lr * self.weight_decay
+            p.data -= s
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment buffers keyed for checkpointing."""

@@ -11,6 +11,7 @@ accumulation-equivalence property exact rather than approximate.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +56,10 @@ class TrainRunConfig:
             raise UsageError(
                 f"need total_steps >= warmup_steps >= 0, got {self.total_steps}/{self.warmup_steps}"
             )
+        if self.epochs < 0:
+            raise UsageError(f"epochs must be >= 0 (0 = until total_steps), got {self.epochs}")
+        if not 0.0 <= self.peak_lr < math.inf:
+            raise UsageError(f"peak_lr must be >= 0 and finite, got {self.peak_lr}")
         if not 0.0 < self.mask_rate <= 1.0:  # at 0 no window has a target and no step is taken
             raise UsageError(f"mask_rate {self.mask_rate} outside (0, 1]")
         if self.micro_batch_size < 1 or self.accumulation_steps < 1:

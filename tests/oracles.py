@@ -6,6 +6,9 @@ word before each merge, the near-duplicate scan that compares each document
 with every kept one, and the masked-token decoder run over every position.
 Tests require equal results from both. A plain-numpy enhanced mask decoder
 in the form of He et al. (2021, §3.2) checks the decoder for any layer count.
+The kernels' first forms are kept too: the broadcast `take_along_axis`
+gather and its `np.add.at` scatter, the embedding backward that scatters
+into a zeroed table, and the Adam step built from whole-array temporaries.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from lusoforge.encoder import (
     encoder_forward,
     standard_attention,
 )
-from lusoforge.errors import DataError
+from lusoforge.errors import DataError, NumericalError
+from lusoforge.optim import Adam
 from lusoforge.tokenizer import SPECIAL_TOKENS, _marked_words
 
 
@@ -149,3 +153,52 @@ def emd_paper_reference(params, config, H, attn_mask) -> np.ndarray:
         inner = 0.5 * inner * (1.0 + erf(inner / np.sqrt(2.0)))
         I = norm(I + inner @ w(f"{p}.ffn.w2") + w(f"{p}.ffn.b2"), f"{p}.ffn.ln")
     return I @ w("embed.tokens").T
+
+
+def gather_last_reference(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """out[..., i, j] = a[..., i, index[i, j]] by a broadcast take_along_axis."""
+    idx = np.broadcast_to(index, a.shape[:-1] + (index.shape[1],))
+    return np.take_along_axis(a, idx, axis=-1)
+
+
+def gather_last_grad_reference(a_shape, index: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of gather_last for upstream g: np.add.at into a zeroed array."""
+    q, w = a_shape[-2], a_shape[-1]
+    ga = np.zeros(a_shape, dtype=g.dtype)
+    flat = ga.reshape(-1, q, w)
+    gflat = g.reshape(-1, q, index.shape[1])
+    batch = np.arange(flat.shape[0])[:, None, None]
+    rows = np.arange(q)[None, :, None]
+    np.add.at(flat, (batch, rows, index[None, :, :]), gflat)
+    return ga
+
+
+def embedding_grad_reference(table_shape, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of an embedding lookup: np.add.at of g's rows into a zeroed table."""
+    gt = np.zeros(table_shape, dtype=g.dtype)
+    np.add.at(gt, np.asarray(ids).reshape(-1), g.reshape(-1, table_shape[-1]))
+    return gt
+
+
+class AdamReference(Adam):
+    """Adam whose step builds every intermediate as a fresh array and
+    replaces each parameter's array with a new one."""
+
+    def step(self):
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NumericalError(f"non-finite gradient in parameter '{name}'")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m = self.m[name] = self.m[name] * b1 + (1.0 - b1) * g
+            v = self.v[name] = self.v[name] * b2 + (1.0 - b2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.weight_decay and self._decays(name):
+                update = update + self.weight_decay * p.data
+            p.data = (p.data - self.lr * update).astype(p.data.dtype, copy=False)

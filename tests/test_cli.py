@@ -17,7 +17,7 @@ from lusoforge import finetune as ft
 from lusoforge import tokenizer as tok_mod
 from lusoforge.checkpoint import load_checkpoint, save_checkpoint
 from lusoforge.encoder import init_params, preset
-from lusoforge.errors import DataError
+from lusoforge.errors import DataError, UsageError
 from lusoforge.finetune import TASKS, synthetic_task_examples, write_task_tsv
 from lusoforge.pretrain import LossLog, LossLogEntry
 
@@ -208,6 +208,60 @@ def test_pretrain_bad_config_value_is_usage_error(tmp_path, capsys):
     assert "usage error: config total_steps must be int, got 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, kind", [
+    ("no", bool), ("false", bool), (0, bool), (1, bool),
+    (64.7, int), (True, int), ("64.5", int), (float("inf"), int), (float("nan"), int),
+    ("high", float), (False, float), (None, float),
+    (5, str), (True, str),
+])
+def test_cast_rejects_inexact_values(value, kind):
+    with pytest.raises(UsageError, match=f"config x must be {kind.__name__}"):
+        cli._cast("x", value, kind)
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (True, bool, True), (False, bool, False), (64, int, 64), (64.0, int, 64), ("64", int, 64),
+    (1, float, 1.0), ("0.5", float, 0.5), ("pt", str, "pt"),
+])
+def test_cast_keeps_exact_values(value, kind, expected):
+    got = cli._cast("x", value, kind)
+    assert got == expected and type(got) is kind
+
+
+def test_corpus_filter_string_bool_is_usage_error(ws, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"near_duplicates": "no"}))
+    rc = cli.main(["corpus", "filter", "--input", str(ws["corpus"]),
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "usage error: config near_duplicates must be bool, got 'no'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg_obj, message", [
+    ({"country_code": 7}, "config country_code must be str, got 7"),
+    ({"dropout_rate": "high"}, "config dropout_rate must be float, got 'high'"),
+])
+def test_optional_config_value_is_typed(tmp_path, capsys, cfg_obj, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_obj))
+    command = (["corpus", "filter", "--input", "absent.jsonl"] if "country_code" in cfg_obj
+               else ["pretrain", "--input", "absent.jsonl", "--tokenizer", "absent.json"])
+    rc = cli.main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_optional_config_null_keeps_default(ws, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"country_code": None}))
+    out = tmp_path / "out"
+    assert cli.main(["corpus", "filter", "--input", str(ws["corpus"]),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["country_code"] is None
+
+
 @pytest.mark.parametrize("argv", [
     ["corpus", "filter", "--input", "absent.jsonl"],
     ["corpus", "stats", "--input", "absent.jsonl"],
@@ -238,6 +292,18 @@ def test_bad_config_seed_is_usage_error(tmp_path, capsys, argv):
     ("pretrain", ["--micro-batch-size", "0"], None),
     ("pretrain", ["--preset", "nope"], None),
     ("pretrain", ["--mask-rate", "0"], None),
+    ("finetune", ["--epochs", "0"], None),
+    ("sweep", ["--epochs", "0"], None),
+    ("sweep", [], {"epochs": -1}),
+    ("finetune", ["--lr", "-1"], None),
+    ("finetune", ["--lr", "inf"], None),
+    ("finetune", [], {"lr": -0.5}),
+    ("finetune", [], {"precision": "fp8"}),
+    ("pretrain", [], {"dropout_rate": "high"}),
+    ("pretrain", [], {"init_checkpoint": 5}),
+    ("pretrain", [], {"micro_batch_size": 4.5}),
+    ("pretrain", ["--epochs", "-1"], None),
+    ("pretrain", ["--peak-lr", "-1"], None),
 ])
 def test_out_of_range_setting_is_usage_error(ws, tmp_path, capsys, command, extra, config):
     out = tmp_path / "out"

@@ -745,6 +745,28 @@ def test_run_grid_all_failed(task_micro, task_tokenizer, small_splits, monkeypat
     assert rep.reported_test_score is None
 
 
+def test_run_grid_leaves_pretrained_arrays_unchanged(task_micro, task_tokenizer, small_splits):
+    # Adam updates in place, so every run must train a copy of the shared encoder
+    cfg, params = task_micro
+    train, dev, test = small_splits
+    before = {k: p.data.copy() for k, p in params.items()}
+    grid = [GridPoint(0.1, 1e-3, "fp32", 41), GridPoint(0.0, 1e-3, "fp16", 42),
+            GridPoint(0.0, 1e-3, "fp32", 43)]
+    full = run_grid(cfg, params, RTE, task_tokenizer, train, dev, test,
+                    grid=grid, seq_len=32, epochs=2, batch_size=8)
+    for k, p in params.items():
+        assert p.data.dtype == before[k].dtype
+        np.testing.assert_array_equal(p.data, before[k], err_msg=k)
+    # a point run alone gives the record it gets inside the grid
+    alone = run_grid(cfg, params, RTE, task_tokenizer, train, dev, test,
+                     grid=[grid[2]], seq_len=32, epochs=2, batch_size=8)
+    record = dataclasses.asdict(alone.runs[0])
+    assert record.pop("index") == 0
+    inside = dataclasses.asdict(full.runs[2])
+    assert inside.pop("index") == 2
+    assert record == inside
+
+
 def test_run_grid_rejects_empty_grid(task_micro, task_tokenizer, small_splits):
     cfg, params = task_micro
     train, dev, test = small_splits
