@@ -92,6 +92,8 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """Trainable tensors over the arrays themselves, not copies: the arrays
+    `load_checkpoint` returns are owned, and `TaskModel` copies what it trains."""
     from collections import OrderedDict
 
-    return OrderedDict((k, Tensor(arrays[k].copy(), requires_grad=True)) for k in sorted(arrays))
+    return OrderedDict((k, Tensor(arrays[k], requires_grad=True)) for k in sorted(arrays))

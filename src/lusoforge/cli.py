@@ -1,10 +1,20 @@
 """Command-line entry point: corpus curation, tokenizer training, MLM
 pre-training, fine-tuning, grid sweeps, evaluation, and report rendering.
 
-Every field of every run config resolves as CLI flag > config file >
-built-in default, and each resolution is logged. Every run writes a
-RunManifest next to its outputs. Exit codes: 0 success, 1 usage error,
-2 data error or any other LusoforgeError (such as ShapeError), 3 numerical
+Each setting is declared once. `pretrain`'s settings and defaults are the
+fields of `pretrain.TrainRunConfig` (less `seed` and `out_dir`),
+`corpus filter`'s those of `corpus.PipelineConfig` (less `thresholds`), and
+every other command's its `*_SETTINGS` dict below. A setting's flag is
+`--flag-name`, typed like its default; `corpus filter`'s flags (`--cc`,
+`--dedup`/`--no-dedup`, `--near-dups`) are written out by hand, and
+`dev_fraction`, `near_dup_jaccard`, `near_dup_ngram` and `thresholds` are
+config-file only. Every setting resolves as CLI flag > config file >
+built-in default, and each resolution is logged.
+
+`main` loads the config file, resolves the seed and creates the output
+directory, then calls the command's handler, which ends by writing a
+RunManifest next to its outputs. Exit codes: 0 success, 1 usage error, 2
+data error or any other LusoforgeError (such as ShapeError), 3 numerical
 abort.
 """
 
@@ -29,16 +39,46 @@ from lusoforge.manifest import RunManifest
 log = logging.getLogger("lusoforge")
 
 
+def _field_defaults(cls, *skip: str) -> dict:
+    """The defaults of a config dataclass's fields, in field order, less `skip`."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+_PRETRAIN_SETTINGS = _field_defaults(pt.TrainRunConfig, "seed", "out_dir")
+_FILTER_SETTINGS = _field_defaults(corpus_mod.PipelineConfig, "thresholds")
+_TOKENIZER_SETTINGS = {"vocab_size": 8192}
+_FINETUNE_SETTINGS = {"dropout": 0.1, "lr": 1e-5, "precision": "fp32",
+                      "epochs": 5, "batch_size": 16, "seq_len": 128, "dev_fraction": 0.1}
+_SWEEP_SETTINGS = {"grid": "full", "epochs": 5, "batch_size": 16, "seq_len": 128,
+                   "dev_fraction": 0.1}
+_EVAL_SETTINGS = {"seq_len": 128}
+# settings that `_add_settings` gives no flag: config file only
+_FILE_ONLY = ("dev_fraction",)
+# the kind of each setting whose default is None; null keeps the default
+_OPTIONAL_KINDS = {"country_code": str, "dropout_rate": float, "init_checkpoint": str}
+_CHOICES = {"precision": ft.GRID_PRECISIONS, "grid": ("full", "quick")}
+# lower bounds checked by finetune, sweep and eval before anything loads;
+# a sentence pair needs room for CLS, SEP and SEP
+_MINIMUMS = {"batch_size": 1, "epochs": 1, "seq_len": 3}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the contract here is 1
     def error(self, message):
         raise UsageError(message)
 
 
-def _add_common(p: _Parser):
-    p.add_argument("--config", type=Path, default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-    p.add_argument("--out", type=Path, default=None, help="output directory (default .)")
+def _kind(name: str, default) -> type:
+    return _OPTIONAL_KINDS[name] if default is None else type(default)
+
+
+def _add_settings(p: _Parser, settings: dict):
+    """One `--flag-name` per setting, typed like its default. Each defaults
+    to None, so `_resolve_fields` can tell an absent flag from a given one."""
+    for name, default in settings.items():
+        if name not in _FILE_ONLY:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=_kind(name, default),
+                           choices=_CHOICES.get(name), default=None)
 
 
 def _load_config_file(path: Path | None) -> dict:
@@ -73,14 +113,10 @@ def _cast(name: str, value, kind: type):
     return converted
 
 
-# the kind of each config field whose default is None; null keeps the default
-_OPTIONAL_KINDS = {"country_code": str, "dropout_rate": float, "init_checkpoint": str}
-
-
 def _resolve_fields(args, file_cfg: dict, defaults: dict) -> dict:
     """CLI flag > config file > default, logged per field. A config-file
-    value takes the type of its default, or its `_OPTIONAL_KINDS` entry
-    where the default is None."""
+    value takes the kind of its default (`_OPTIONAL_KINDS` where that is
+    None) and must be one of its `_CHOICES`, like the flag."""
     resolved = {}
     for name, default in defaults.items():
         cli_val = getattr(args, name, None)
@@ -89,10 +125,12 @@ def _resolve_fields(args, file_cfg: dict, defaults: dict) -> dict:
             source = "cli"
         elif name in file_cfg:
             value = file_cfg[name]
-            if default is None:
-                resolved[name] = None if value is None else _cast(name, value, _OPTIONAL_KINDS[name])
+            if value is None and default is None:
+                resolved[name] = None
             else:
-                resolved[name] = _cast(name, value, type(default))
+                resolved[name] = _cast(name, value, _kind(name, default))
+            if name in _CHOICES and resolved[name] not in _CHOICES[name]:
+                raise UsageError(f"config {name} must be one of {_CHOICES[name]}, got {value!r}")
             source = "config-file"
         else:
             resolved[name] = default
@@ -101,18 +139,10 @@ def _resolve_fields(args, file_cfg: dict, defaults: dict) -> dict:
     return resolved
 
 
-def _out_dir(args) -> Path:
-    out = args.out if args.out is not None else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _seed(args, file_cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in file_cfg:
-        return _cast("seed", file_cfg["seed"], int)
-    return 0
+def _check_minimums(fields: dict):
+    for name, low in _MINIMUMS.items():
+        if name in fields and fields[name] < low:
+            raise UsageError(f"{name} must be >= {low}, got {fields[name]}")
 
 
 def _thresholds(raw) -> corpus_mod.QualityThresholds:
@@ -128,8 +158,17 @@ def _thresholds(raw) -> corpus_mod.QualityThresholds:
         **{k: _cast(f"thresholds.{k}", v, kinds[k]) for k, v in raw.items()})
 
 
-def _manifest(command: str, config: dict, seed: int) -> RunManifest:
-    return RunManifest(command=command, config=config, seed=seed, code_version=__version__)
+def _write_manifest(out: Path, command: str, config: dict, seed: int, inputs, outputs):
+    """`out/manifest.json`: the command, its resolved config and seed, the
+    digest of every input (None stands for an optional input not given) and
+    the output paths."""
+    man = RunManifest(command=command, config=config, seed=seed, code_version=__version__)
+    for path in inputs:
+        if path is not None:
+            man.add_input(path)
+    for path in outputs:
+        man.add_output(path)
+    man.write(out / "manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -184,105 +223,59 @@ def render_loss_svg(losslog: pt.LossLog, width: int = 640, height: int = 360) ->
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the parsed flags, the config file, the
+# resolved seed and the output directory, and raises on failure
 
 
-def _cmd_corpus_filter(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    out = _out_dir(args)
-    fields = _resolve_fields(args, file_cfg, {
-        "country_code": None, "deduplicate": True, "near_duplicates": False,
-        "near_dup_jaccard": 0.8, "near_dup_ngram": 5,
-    })
+def _cmd_corpus_filter(args, file_cfg: dict, seed: int, out: Path):
+    fields = _resolve_fields(args, file_cfg, _FILTER_SETTINGS)
     thresholds = _thresholds(file_cfg.get("thresholds", {}))
-    config = corpus_mod.PipelineConfig(
-        country_code=fields["country_code"],
-        deduplicate=fields["deduplicate"],
-        near_duplicates=fields["near_duplicates"],
-        near_dup_jaccard=fields["near_dup_jaccard"],
-        near_dup_ngram=fields["near_dup_ngram"],
-        thresholds=thresholds,
-    )
-    docs = corpus_mod.read_jsonl(args.input)
-    kept, report = corpus_mod.run_pipeline(docs, config)
-    man = _manifest("corpus filter", {**fields, "thresholds": vars(thresholds)}, seed)
-    man.add_input(args.input)
+    config = corpus_mod.PipelineConfig(**fields, thresholds=thresholds)
+    kept, report = corpus_mod.run_pipeline(corpus_mod.read_jsonl(args.input), config)
     filtered_path = out / "filtered.jsonl"
     report_path = out / "filter_report.json"
     corpus_mod.write_jsonl(kept, filtered_path)
     report_path.write_text(report.to_json(), encoding="utf-8")
-    man.add_output(filtered_path)
-    man.add_output(report_path)
-    man.write(out / "manifest.json")
+    _write_manifest(out, "corpus filter", {**fields, "thresholds": vars(thresholds)}, seed,
+                    [args.input], [filtered_path, report_path])
     print(f"kept {report.kept_count}/{report.input_count} documents -> {filtered_path}")
-    return 0
 
 
-def _cmd_corpus_stats(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    out = _out_dir(args)
+def _cmd_corpus_stats(args, file_cfg: dict, seed: int, out: Path):
     docs = corpus_mod.read_jsonl(args.input)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer) if args.tokenizer else None
     report = corpus_mod.corpus_stats(docs, tokenizer)
     path = out / "stats_report.json"
     path.write_text(report.to_json(), encoding="utf-8")
-    man = _manifest("corpus stats", {"tokenizer": str(args.tokenizer) if args.tokenizer else None}, seed)
-    man.add_input(args.input)
-    man.add_output(path)
-    man.write(out / "manifest.json")
+    _write_manifest(out, "corpus stats",
+                    {"tokenizer": str(args.tokenizer) if args.tokenizer else None}, seed,
+                    [args.input], [path])
     for src, row in report.sources.items():
         print(f"{src}: {row['documents']} docs ({row['doc_proportion']:.2%}), "
               f"{row['tokens']} tokens ({row['token_proportion']:.2%})")
-    return 0
 
 
-def _cmd_tokenizer_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    out = _out_dir(args)
-    fields = _resolve_fields(args, file_cfg, {"vocab_size": 8192})
-    docs = corpus_mod.read_jsonl(args.input)
-    model = tok_mod.train_tokenizer(docs, fields["vocab_size"], seed=seed)
+def _cmd_tokenizer_train(args, file_cfg: dict, seed: int, out: Path):
+    fields = _resolve_fields(args, file_cfg, _TOKENIZER_SETTINGS)
+    model = tok_mod.train_tokenizer(corpus_mod.read_jsonl(args.input), fields["vocab_size"])
     vocab_path = out / "vocab.json"
     tok_mod.save_tokenizer(model, vocab_path)
-    man = _manifest("tokenizer train", fields, seed)
-    man.add_input(args.input)
-    man.add_output(vocab_path)
-    man.write(out / "manifest.json")
+    _write_manifest(out, "tokenizer train", fields, seed, [args.input], [vocab_path])
     print(f"trained vocabulary of {model.vocab_size} tokens -> {vocab_path}")
-    return 0
 
 
-_PRETRAIN_DEFAULTS = {
-    "preset": "tiny", "seq_len": 128, "micro_batch_size": 8, "accumulation_steps": 4,
-    "peak_lr": 5e-4, "warmup_steps": 100, "total_steps": 2000, "epochs": 0,
-    "mask_rate": 0.15, "dropout_rate": None, "weight_decay": 0.01,
-    "checkpoint_every": 500, "init_checkpoint": None,
-}
-
-
-def _cmd_pretrain(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    out = _out_dir(args)
-    fields = _resolve_fields(args, file_cfg, dict(_PRETRAIN_DEFAULTS))
+def _cmd_pretrain(args, file_cfg: dict, seed: int, out: Path):
+    fields = _resolve_fields(args, file_cfg, _PRETRAIN_SETTINGS)
     config = pt.TrainRunConfig(seed=seed, out_dir=str(out), **fields)
     docs = corpus_mod.read_jsonl(args.input)
-    tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    model, losslog = pt.train(config, docs, tokenizer)
+    _, losslog = pt.train(config, docs, tok_mod.load_tokenizer(args.tokenizer))
     emit_loss_curve(losslog, out / "loss_curve.csv", out / "loss_curve.svg")
-    man = _manifest("pretrain", {**fields, "seed": seed}, seed)
-    man.add_input(args.input)
-    man.add_input(args.tokenizer)
-    for name in ("model.ckpt", "loss_log.csv", "loss_curve.csv", "loss_curve.svg"):
-        man.add_output(out / name)
-    man.write(out / "manifest.json")
+    _write_manifest(out, "pretrain", {**fields, "seed": seed}, seed, [args.input, args.tokenizer],
+                    [out / n for n in ("model.ckpt", "loss_log.csv", "loss_curve.csv",
+                                       "loss_curve.svg")])
     final = losslog.entries[-1]
     print(f"trained {final.step} steps; final loss {final.loss:.4f} "
           f"(ema {final.ema_loss:.4f}) -> {out / 'model.ckpt'}")
-    return 0
 
 
 def _task_spec(name: str) -> ft.TaskSpec:
@@ -294,11 +287,8 @@ def _task_spec(name: str) -> ft.TaskSpec:
 def _task_inputs(args, spec: ft.TaskSpec, fields: dict, seed: int):
     """Checkpoint, tokenizer, and the train and dev examples of a run: dev from
     --dev, or else carved from train by fields["dev_fraction"] and the seed.
-    batch_size and epochs are range-checked before anything is loaded."""
-    if fields["batch_size"] < 1:
-        raise UsageError(f"batch_size must be >= 1, got {fields['batch_size']}")
-    if fields["epochs"] < 1:
-        raise UsageError(f"epochs must be >= 1, got {fields['epochs']}")
+    The `_MINIMUMS` are checked before anything is loaded."""
+    _check_minimums(fields)
     enc_config, arrays, _ = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
     train_ex = ft.read_task_tsv(args.train, spec, "train")
@@ -309,15 +299,9 @@ def _task_inputs(args, spec: ft.TaskSpec, fields: dict, seed: int):
     return enc_config, arrays, tokenizer, train_ex, dev_ex
 
 
-def _cmd_finetune(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    out = _out_dir(args)
+def _cmd_finetune(args, file_cfg: dict, seed: int, out: Path):
     spec = _task_spec(args.task)
-    fields = _resolve_fields(args, file_cfg, {
-        "dropout": 0.1, "lr": 1e-5, "precision": "fp32",
-        "epochs": 5, "batch_size": 16, "seq_len": 128, "dev_fraction": 0.1,
-    })
+    fields = _resolve_fields(args, file_cfg, _FINETUNE_SETTINGS)
     gp = ft.GridPoint(dropout=fields["dropout"], lr=fields["lr"],
                       precision=fields["precision"], seed=seed)
     enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, seed)
@@ -339,35 +323,22 @@ def _cmd_finetune(args) -> int:
     }
     report_path = out / "finetune_report.json"
     report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    man = _manifest("finetune", {**fields, "task": spec.name}, seed)
-    for p in (args.checkpoint, args.tokenizer, args.train):
-        man.add_input(p)
-    if args.dev:
-        man.add_input(args.dev)
-    man.add_output(ckpt_path)
-    man.add_output(report_path)
-    man.write(out / "manifest.json")
+    _write_manifest(out, "finetune", {**fields, "task": spec.name}, seed,
+                    [args.checkpoint, args.tokenizer, args.train, args.dev],
+                    [ckpt_path, report_path])
     print(f"dev {spec.metric} {result.dev_score:.4f} (best epoch {result.best_epoch}) "
           f"-> {report_path}")
-    return 0
 
 
-def _cmd_sweep(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    out = _out_dir(args)
+def _cmd_sweep(args, file_cfg: dict, seed: int, out: Path):
     spec = _task_spec(args.task)
-    fields = _resolve_fields(args, file_cfg, {
-        "grid": "full", "epochs": 5, "batch_size": 16, "seq_len": 128, "dev_fraction": 0.1,
-    })
+    fields = _resolve_fields(args, file_cfg, _SWEEP_SETTINGS)
     enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, seed)
     test_ex = ft.read_task_tsv(args.test, spec, "test")
     if fields["grid"] == "full":
         grid = ft.full_grid()
-    elif fields["grid"] == "quick":
-        grid = [ft.GridPoint(0.0, 1e-5, "fp32", s) for s in ft.GRID_SEEDS]
     else:
-        raise UsageError(f"--grid must be 'full' or 'quick', got {fields['grid']!r}")
+        grid = [ft.GridPoint(0.0, 1e-5, "fp32", s) for s in ft.GRID_SEEDS]
     report = ft.run_grid(enc_config, params_from_arrays(arrays), spec, tokenizer,
                          train_ex, dev_ex, test_ex, grid=grid,
                          seq_len=fields["seq_len"], epochs=fields["epochs"],
@@ -377,29 +348,21 @@ def _cmd_sweep(args) -> int:
     summary_path = out / "summary.csv"
     summary_path.write_text(
         ft.report_csv_summary([(report.task, report.reported_test_score)]), encoding="utf-8")
-    man = _manifest("sweep", {**fields, "task": spec.name}, seed)
-    for p in (args.checkpoint, args.tokenizer, args.train, args.test):
-        man.add_input(p)
-    if args.dev:
-        man.add_input(args.dev)
-    man.add_output(report_path)
-    man.add_output(summary_path)
-    man.write(out / "manifest.json")
+    _write_manifest(out, "sweep", {**fields, "task": spec.name}, seed,
+                    [args.checkpoint, args.tokenizer, args.train, args.test, args.dev],
+                    [report_path, summary_path])
     sel = report.selected_config
     if sel is None:
         raise DataError(f"all {report.n_failed} runs failed; first error: {report.runs[0].error}")
     print(f"{len(report.runs)} runs, {len(report.configs)} configs, "
           f"{report.n_failed} failed; selected {sel}; "
           f"test {spec.metric} {report.reported_test_score}")
-    return 0
 
 
-def _cmd_eval(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    out = _out_dir(args)
+def _cmd_eval(args, file_cfg: dict, seed: int, out: Path):
     spec = _task_spec(args.task)
-    fields = _resolve_fields(args, file_cfg, {"seq_len": 128})
+    fields = _resolve_fields(args, file_cfg, _EVAL_SETTINGS)
+    _check_minimums(fields)
     enc_config, arrays, meta = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
     examples = ft.read_task_tsv(args.data, spec, "test")
@@ -410,28 +373,19 @@ def _cmd_eval(args) -> int:
               "examples": len(examples)}
     path = out / "eval_report.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    man = _manifest("eval", {**fields, "task": spec.name}, seed)
-    for p in (args.checkpoint, args.tokenizer, args.data):
-        man.add_input(p)
-    man.add_output(path)
-    man.write(out / "manifest.json")
+    _write_manifest(out, "eval", {**fields, "task": spec.name}, seed,
+                    [args.checkpoint, args.tokenizer, args.data], [path])
     print(f"{spec.metric} {score:.4f} over {len(examples)} examples -> {path}")
-    return 0
 
 
-def _cmd_report(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    out = _out_dir(args)
+def _cmd_report(args, file_cfg: dict, seed: int, out: Path):
     if not args.loss_log and not args.metrics:
         raise UsageError("report needs --loss-log and/or --metrics")
-    man = _manifest("report", {}, seed)
+    outputs = []
     if args.loss_log:
         losslog = pt.LossLog.from_csv(args.loss_log)
         emit_loss_curve(losslog, out / "loss_curve.csv", out / "loss_curve.svg")
-        man.add_input(args.loss_log)
-        man.add_output(out / "loss_curve.csv")
-        man.add_output(out / "loss_curve.svg")
+        outputs += [out / "loss_curve.csv", out / "loss_curve.svg"]
         print(f"rendered {len(losslog)} log records -> {out / 'loss_curve.svg'}")
     if args.metrics:
         try:
@@ -440,15 +394,27 @@ def _cmd_report(args) -> int:
             raise DataError(f"cannot read metrics report {args.metrics}: {e}") from e
         pair = (payload.get("task", "task"), payload.get("reported_test_score"))
         (out / "summary.csv").write_text(ft.report_csv_summary([pair]), encoding="utf-8")
-        man.add_input(args.metrics)
-        man.add_output(out / "summary.csv")
+        outputs.append(out / "summary.csv")
         print(f"summary -> {out / 'summary.csv'}")
-    man.write(out / "manifest.json")
-    return 0
+    _write_manifest(out, "report", {}, seed, [args.loss_log, args.metrics], outputs)
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
+
+
+def _finish(p: _Parser, handler):
+    """The flags every command takes, after its own, and its handler."""
+    p.add_argument("--config", type=Path, default=None, help="JSON config file")
+    p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
+    p.add_argument("--out", type=Path, default=None, help="output directory (default .)")
+    p.set_defaults(handler=handler)
+
+
+def _add_task_inputs(p: _Parser):
+    p.add_argument("--task", required=True)
+    p.add_argument("--checkpoint", type=Path, required=True)
+    p.add_argument("--tokenizer", type=Path, required=True)
 
 
 def build_parser() -> _Parser:
@@ -466,87 +432,53 @@ def build_parser() -> _Parser:
     cf.add_argument("--dedup", dest="deduplicate", action="store_true", default=None)
     cf.add_argument("--no-dedup", dest="deduplicate", action="store_false")
     cf.add_argument("--near-dups", dest="near_duplicates", action="store_true", default=None)
-    _add_common(cf)
-    cf.set_defaults(handler=_cmd_corpus_filter)
+    _finish(cf, _cmd_corpus_filter)
 
     cs = corpus_sub.add_parser("stats", help="composition statistics")
     cs.add_argument("--input", type=Path, required=True)
     cs.add_argument("--tokenizer", type=Path, default=None,
                     help="count subwords with this vocabulary instead of whitespace tokens")
-    _add_common(cs)
-    cs.set_defaults(handler=_cmd_corpus_stats)
+    _finish(cs, _cmd_corpus_stats)
 
     tk = sub.add_parser("tokenizer", help="subword tokenizer")
     tk_sub = tk.add_subparsers(dest="subcommand")
     tt = tk_sub.add_parser("train", help="learn a vocabulary")
     tt.add_argument("--input", type=Path, required=True, help="input JSONL")
-    tt.add_argument("--vocab-size", dest="vocab_size", type=int, default=None)
-    _add_common(tt)
-    tt.set_defaults(handler=_cmd_tokenizer_train)
+    _add_settings(tt, _TOKENIZER_SETTINGS)
+    _finish(tt, _cmd_tokenizer_train)
 
     pr = sub.add_parser("pretrain", help="masked-language-model pre-training")
     pr.add_argument("--input", type=Path, required=True, help="corpus JSONL")
     pr.add_argument("--tokenizer", type=Path, required=True, help="vocab.json")
-    pr.add_argument("--preset", default=None)
-    pr.add_argument("--seq-len", dest="seq_len", type=int, default=None)
-    pr.add_argument("--micro-batch-size", dest="micro_batch_size", type=int, default=None)
-    pr.add_argument("--accumulation-steps", dest="accumulation_steps", type=int, default=None)
-    pr.add_argument("--peak-lr", dest="peak_lr", type=float, default=None)
-    pr.add_argument("--warmup-steps", dest="warmup_steps", type=int, default=None)
-    pr.add_argument("--total-steps", dest="total_steps", type=int, default=None)
-    pr.add_argument("--epochs", type=int, default=None)
-    pr.add_argument("--mask-rate", dest="mask_rate", type=float, default=None)
-    pr.add_argument("--dropout-rate", dest="dropout_rate", type=float, default=None)
-    pr.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    pr.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
-    pr.add_argument("--init-checkpoint", dest="init_checkpoint", default=None)
-    _add_common(pr)
-    pr.set_defaults(handler=_cmd_pretrain)
+    _add_settings(pr, _PRETRAIN_SETTINGS)
+    _finish(pr, _cmd_pretrain)
 
     fe = sub.add_parser("finetune", help="fine-tune one grid point")
-    fe.add_argument("--task", required=True)
-    fe.add_argument("--checkpoint", type=Path, required=True)
-    fe.add_argument("--tokenizer", type=Path, required=True)
+    _add_task_inputs(fe)
     fe.add_argument("--train", type=Path, required=True, help="train split TSV")
     fe.add_argument("--dev", type=Path, default=None,
                     help="dev split TSV (default: 10%% carved from train)")
-    fe.add_argument("--dropout", type=float, default=None)
-    fe.add_argument("--lr", type=float, default=None)
-    fe.add_argument("--precision", choices=("fp32", "fp16"), default=None)
-    fe.add_argument("--epochs", type=int, default=None)
-    fe.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    fe.add_argument("--seq-len", dest="seq_len", type=int, default=None)
-    _add_common(fe)
-    fe.set_defaults(handler=_cmd_finetune)
+    _add_settings(fe, _FINETUNE_SETTINGS)
+    _finish(fe, _cmd_finetune)
 
     sw = sub.add_parser("sweep", help="hyperparameter grid over a task")
-    sw.add_argument("--task", required=True)
-    sw.add_argument("--checkpoint", type=Path, required=True)
-    sw.add_argument("--tokenizer", type=Path, required=True)
+    _add_task_inputs(sw)
     sw.add_argument("--train", type=Path, required=True)
     sw.add_argument("--dev", type=Path, default=None)
     sw.add_argument("--test", type=Path, required=True)
-    sw.add_argument("--grid", choices=("full", "quick"), default=None)
-    sw.add_argument("--epochs", type=int, default=None)
-    sw.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    sw.add_argument("--seq-len", dest="seq_len", type=int, default=None)
-    _add_common(sw)
-    sw.set_defaults(handler=_cmd_sweep)
+    _add_settings(sw, _SWEEP_SETTINGS)
+    _finish(sw, _cmd_sweep)
 
     ev = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint")
-    ev.add_argument("--task", required=True)
-    ev.add_argument("--checkpoint", type=Path, required=True)
-    ev.add_argument("--tokenizer", type=Path, required=True)
+    _add_task_inputs(ev)
     ev.add_argument("--data", type=Path, required=True, help="evaluation TSV")
-    ev.add_argument("--seq-len", dest="seq_len", type=int, default=None)
-    _add_common(ev)
-    ev.set_defaults(handler=_cmd_eval)
+    _add_settings(ev, _EVAL_SETTINGS)
+    _finish(ev, _cmd_eval)
 
     rp = sub.add_parser("report", help="render artifacts from existing logs")
     rp.add_argument("--loss-log", dest="loss_log", type=Path, default=None)
     rp.add_argument("--metrics", type=Path, default=None)
-    _add_common(rp)
-    rp.set_defaults(handler=_cmd_report)
+    _finish(rp, _cmd_report)
 
     return parser
 
@@ -565,7 +497,15 @@ def main(argv: list[str] | None = None) -> int:
         if handler is None:
             parser.print_usage(sys.stderr)
             return 1
-        return handler(args)
+        file_cfg = _load_config_file(args.config)
+        seed = args.seed if args.seed is not None else _cast("seed", file_cfg.get("seed", 0), int)
+        out = args.out if args.out is not None else Path(".")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise DataError(f"cannot create output directory {out}: {e}") from e
+        handler(args, file_cfg, seed, out)
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -213,14 +213,15 @@ def attach_head(enc_config: EncoderConfig, enc_params: dict[str, Tensor],
 def load_task_model(enc_config: EncoderConfig, arrays: dict[str, np.ndarray],
                     head_type: str) -> TaskModel:
     """Rebuild a fine-tuned model (encoder + head) from checkpoint arrays.
-    Decoder tensors that older fine-tuned checkpoints still hold are dropped."""
+    Decoder tensors that older fine-tuned checkpoints still hold are dropped.
+    `TaskModel` copies the encoder arrays; the head takes its float32 arrays
+    as they are."""
     if "head.w" not in arrays or "head.b" not in arrays:
         raise DataError("checkpoint has no task head; fine-tune first")
-    enc_arrays = {k: Tensor(v.copy(), requires_grad=True)
-                  for k, v in arrays.items() if not k.startswith("head.")}
+    enc_arrays = {k: Tensor(v) for k, v in arrays.items() if not k.startswith("head.")}
     model = TaskModel(enc_config, enc_arrays, head_type, dropout=0.0, seed=0)
-    model.params["head.w"].data = arrays["head.w"].astype(np.float32).copy()
-    model.params["head.b"].data = arrays["head.b"].astype(np.float32).copy()
+    model.params["head.w"].data = np.asarray(arrays["head.w"], dtype=np.float32)
+    model.params["head.b"].data = np.asarray(arrays["head.b"], dtype=np.float32)
     return model
 
 

@@ -80,7 +80,7 @@ def _marked_words(text: str) -> list[str]:
     return [MARKER + w for w in norm.split(" ")]
 
 
-def train_tokenizer(corpus: Iterable, vocab_size: int, seed: int = 0) -> TokenizerModel:
+def train_tokenizer(corpus: Iterable, vocab_size: int) -> TokenizerModel:
     """Learn a BPE vocabulary from an iterable of strings or Documents.
 
     Each merge takes the pair with the highest frequency-weighted count, the
@@ -92,10 +92,9 @@ def train_tokenizer(corpus: Iterable, vocab_size: int, seed: int = 0) -> Tokeniz
     is out of date. The merges equal those of recounting every pair of every
     word before each merge.
 
-    Deterministic in corpus order; `seed` is unused (greedy BPE draws no
-    randomness) but kept so every trainer in the codebase has the same
-    calling shape. Raises DataError on an empty corpus or a vocab_size with
-    no room for the base alphabet.
+    Deterministic in corpus order: greedy BPE draws no randomness. Raises
+    DataError on an empty corpus or a vocab_size with no room for the base
+    alphabet.
     """
     word_freq: Counter[str] = Counter()
     for doc in corpus:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
@@ -19,7 +20,7 @@ from lusoforge.checkpoint import load_checkpoint, save_checkpoint
 from lusoforge.encoder import init_params, preset
 from lusoforge.errors import DataError, UsageError
 from lusoforge.finetune import TASKS, synthetic_task_examples, write_task_tsv
-from lusoforge.pretrain import LossLog, LossLogEntry
+from lusoforge.pretrain import LossLog, LossLogEntry, TrainRunConfig
 
 RTE = TASKS["rte"]
 
@@ -327,6 +328,40 @@ def test_out_of_range_setting_is_usage_error(ws, tmp_path, capsys, command, extr
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["eval", "--task", "rte", "--checkpoint", "absent.ckpt", "--tokenizer", "absent.json",
+      "--data", "absent.tsv", "--seq-len", "2"], None),
+    (["eval", "--task", "rte", "--checkpoint", "absent.ckpt", "--tokenizer", "absent.json",
+      "--data", "absent.tsv"], {"seq_len": 2}),
+    (["finetune", "--task", "rte", "--checkpoint", "absent.ckpt", "--tokenizer", "absent.json",
+      "--train", "absent.tsv", "--seq-len", "2"], None),
+    (["sweep", "--task", "rte", "--checkpoint", "absent.ckpt", "--tokenizer", "absent.json",
+      "--train", "absent.tsv", "--test", "absent.tsv", "--seq-len", "2"], None),
+    (["sweep", "--task", "rte", "--checkpoint", "absent.ckpt", "--tokenizer", "absent.json",
+      "--train", "absent.tsv", "--test", "absent.tsv"], {"grid": "weird"}),
+])
+def test_setting_checked_before_inputs_load(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error: " in err
+    assert "cannot read" not in err
+
+
+def test_unwritable_out_is_data_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("x")
+    rc = cli.main(["report", "--loss-log", "absent.csv", "--out", str(not_a_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error: cannot create output directory" in err
+    assert "Traceback" not in err
+
+
 def test_corpus_stats_cli(ws, tmp_path, capsys):
     out = tmp_path / "stats"
     assert cli.main(["corpus", "stats", "--input", str(ws["corpus"]),
@@ -337,6 +372,66 @@ def test_corpus_stats_cli(ws, tmp_path, capsys):
     assert report["sources"]["OSCAR"]["documents"] == 12
     assert report["sources"]["OSCAR"]["doc_proportion"] == pytest.approx(0.5)
     assert (out / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the flags each command takes, and the defaults they resolve to
+
+
+_COMMON = {"-h", "--help", "--config", "--seed", "--out"}
+_TASK = {"--task", "--checkpoint", "--tokenizer"}
+CLI_SURFACE = {
+    ("corpus", "filter"): {"--input", "--cc", "--dedup", "--no-dedup", "--near-dups"},
+    ("corpus", "stats"): {"--input", "--tokenizer"},
+    ("tokenizer", "train"): {"--input", "--vocab-size"},
+    ("pretrain",): {"--input", "--tokenizer", "--preset", "--seq-len", "--micro-batch-size",
+                    "--accumulation-steps", "--peak-lr", "--warmup-steps", "--total-steps",
+                    "--epochs", "--mask-rate", "--dropout-rate", "--weight-decay",
+                    "--checkpoint-every", "--init-checkpoint"},
+    ("finetune",): _TASK | {"--train", "--dev", "--dropout", "--lr", "--precision", "--epochs",
+                            "--batch-size", "--seq-len"},
+    ("sweep",): _TASK | {"--train", "--dev", "--test", "--grid", "--epochs", "--batch-size",
+                         "--seq-len"},
+    ("eval",): _TASK | {"--data", "--seq-len"},
+    ("report",): {"--loss-log", "--metrics"},
+}
+
+
+def _commands(parser, prefix=()):
+    """(command words, parser) of every parser that has a handler."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield prefix, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _commands(child, prefix + (name,))
+
+
+def test_cli_surface_is_pinned():
+    commands = dict(_commands(cli.build_parser()))
+    assert set(commands) == set(CLI_SURFACE)
+    for words, parser in commands.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        assert options == CLI_SURFACE[words] | _COMMON, words
+    choices = {a.dest: a.choices for p in commands.values() for a in p._actions if a.choices}
+    assert choices == {"precision": ("fp32", "fp16"), "grid": ("full", "quick")}
+
+
+def test_unset_settings_resolve_to_config_defaults(ws, tmp_path, monkeypatch):
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        raise DataError("stop before the work")
+
+    monkeypatch.setattr(cli.pt, "train", lambda config, docs, tokenizer: record(config))
+    monkeypatch.setattr(cli.corpus_mod, "run_pipeline", lambda docs, config: record(config))
+    out = tmp_path / "pre"
+    assert cli.main(["pretrain", "--input", str(ws["filtered"]), "--tokenizer", str(ws["vocab"]),
+                     "--out", str(out)]) == 2
+    assert cli.main(["corpus", "filter", "--input", str(ws["corpus"]),
+                     "--out", str(tmp_path / "filter")]) == 2
+    assert seen == [TrainRunConfig(seed=0, out_dir=str(out)), corpus_mod.PipelineConfig()]
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,6 @@ def test_training_is_deterministic(toy_sentences):
     assert a.merges == b.merges
 
 
-def test_seed_does_not_change_output(toy_sentences):
-    a = train_tokenizer(toy_sentences, vocab_size=128, seed=0)
-    b = train_tokenizer(toy_sentences, vocab_size=128, seed=777)
-    assert a.vocab == b.vocab
-
-
 # ----------------------------------------------------------------- normalize
 
 def test_normalize_collapses_whitespace():
