@@ -11,11 +11,13 @@ every other command's its `*_SETTINGS` dict below. A setting's flag is
 config-file only. Every setting resolves as CLI flag > config file >
 built-in default, and each resolution is logged.
 
-`main` loads the config file, resolves the seed and creates the output
-directory, then calls the command's handler, which ends by writing a
-RunManifest next to its outputs. Exit codes: 0 success, 1 usage error, 2
-data error or any other LusoforgeError (such as ShapeError), 3 numerical
-abort.
+`main` loads the config file, resolves the seed, creates the output
+directory and starts the run's RunManifest, so its `started_at` precedes
+the work, then calls the command's handler, which ends by writing that
+manifest next to its outputs. `sweep` writes one stderr line per finished
+grid run: its index, grid point, scores or error, and seconds. Exit codes:
+0 success, 1 usage error, 2 data error or any other LusoforgeError (such as
+ShapeError), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -158,11 +160,11 @@ def _thresholds(raw) -> corpus_mod.QualityThresholds:
         **{k: _cast(f"thresholds.{k}", v, kinds[k]) for k, v in raw.items()})
 
 
-def _write_manifest(out: Path, command: str, config: dict, seed: int, inputs, outputs):
-    """`out/manifest.json`: the command, its resolved config and seed, the
-    digest of every input (None stands for an optional input not given) and
-    the output paths."""
-    man = RunManifest(command=command, config=config, seed=seed, code_version=__version__)
+def _write_manifest(man: RunManifest, out: Path, config: dict, inputs, outputs):
+    """`out/manifest.json`: `man` (the command, seed and start time `main`
+    gave it) with the resolved config, the digest of every input (None
+    stands for an optional input not given) and the output paths."""
+    man.config = config
     for path in inputs:
         if path is not None:
             man.add_input(path)
@@ -224,10 +226,11 @@ def render_loss_svg(losslog: pt.LossLog, width: int = 640, height: int = 360) ->
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the parsed flags, the config file, the
-# resolved seed and the output directory, and raises on failure
+# run's manifest (command, resolved seed, start time) and the output
+# directory, writes the manifest after its outputs, and raises on failure
 
 
-def _cmd_corpus_filter(args, file_cfg: dict, seed: int, out: Path):
+def _cmd_corpus_filter(args, file_cfg: dict, man: RunManifest, out: Path):
     fields = _resolve_fields(args, file_cfg, _FILTER_SETTINGS)
     thresholds = _thresholds(file_cfg.get("thresholds", {}))
     config = corpus_mod.PipelineConfig(**fields, thresholds=thresholds)
@@ -236,41 +239,40 @@ def _cmd_corpus_filter(args, file_cfg: dict, seed: int, out: Path):
     report_path = out / "filter_report.json"
     corpus_mod.write_jsonl(kept, filtered_path)
     report_path.write_text(report.to_json(), encoding="utf-8")
-    _write_manifest(out, "corpus filter", {**fields, "thresholds": vars(thresholds)}, seed,
+    _write_manifest(man, out, {**fields, "thresholds": vars(thresholds)},
                     [args.input], [filtered_path, report_path])
     print(f"kept {report.kept_count}/{report.input_count} documents -> {filtered_path}")
 
 
-def _cmd_corpus_stats(args, file_cfg: dict, seed: int, out: Path):
+def _cmd_corpus_stats(args, file_cfg: dict, man: RunManifest, out: Path):
     docs = corpus_mod.read_jsonl(args.input)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer) if args.tokenizer else None
     report = corpus_mod.corpus_stats(docs, tokenizer)
     path = out / "stats_report.json"
     path.write_text(report.to_json(), encoding="utf-8")
-    _write_manifest(out, "corpus stats",
-                    {"tokenizer": str(args.tokenizer) if args.tokenizer else None}, seed,
-                    [args.input], [path])
+    _write_manifest(man, out, {"tokenizer": str(args.tokenizer) if args.tokenizer else None},
+                    [args.input, args.tokenizer], [path])
     for src, row in report.sources.items():
         print(f"{src}: {row['documents']} docs ({row['doc_proportion']:.2%}), "
               f"{row['tokens']} tokens ({row['token_proportion']:.2%})")
 
 
-def _cmd_tokenizer_train(args, file_cfg: dict, seed: int, out: Path):
+def _cmd_tokenizer_train(args, file_cfg: dict, man: RunManifest, out: Path):
     fields = _resolve_fields(args, file_cfg, _TOKENIZER_SETTINGS)
     model = tok_mod.train_tokenizer(corpus_mod.read_jsonl(args.input), fields["vocab_size"])
     vocab_path = out / "vocab.json"
     tok_mod.save_tokenizer(model, vocab_path)
-    _write_manifest(out, "tokenizer train", fields, seed, [args.input], [vocab_path])
+    _write_manifest(man, out, fields, [args.input], [vocab_path])
     print(f"trained vocabulary of {model.vocab_size} tokens -> {vocab_path}")
 
 
-def _cmd_pretrain(args, file_cfg: dict, seed: int, out: Path):
+def _cmd_pretrain(args, file_cfg: dict, man: RunManifest, out: Path):
     fields = _resolve_fields(args, file_cfg, _PRETRAIN_SETTINGS)
-    config = pt.TrainRunConfig(seed=seed, out_dir=str(out), **fields)
+    config = pt.TrainRunConfig(seed=man.seed, out_dir=str(out), **fields)
     docs = corpus_mod.read_jsonl(args.input)
     _, losslog = pt.train(config, docs, tok_mod.load_tokenizer(args.tokenizer))
     emit_loss_curve(losslog, out / "loss_curve.csv", out / "loss_curve.svg")
-    _write_manifest(out, "pretrain", {**fields, "seed": seed}, seed, [args.input, args.tokenizer],
+    _write_manifest(man, out, {**fields, "seed": man.seed}, [args.input, args.tokenizer],
                     [out / n for n in ("model.ckpt", "loss_log.csv", "loss_curve.csv",
                                        "loss_curve.svg")])
     final = losslog.entries[-1]
@@ -299,12 +301,12 @@ def _task_inputs(args, spec: ft.TaskSpec, fields: dict, seed: int):
     return enc_config, arrays, tokenizer, train_ex, dev_ex
 
 
-def _cmd_finetune(args, file_cfg: dict, seed: int, out: Path):
+def _cmd_finetune(args, file_cfg: dict, man: RunManifest, out: Path):
     spec = _task_spec(args.task)
     fields = _resolve_fields(args, file_cfg, _FINETUNE_SETTINGS)
     gp = ft.GridPoint(dropout=fields["dropout"], lr=fields["lr"],
-                      precision=fields["precision"], seed=seed)
-    enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, seed)
+                      precision=fields["precision"], seed=man.seed)
+    enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, man.seed)
     model = ft.attach_head(enc_config, params_from_arrays(arrays), spec.head_type,
                            dropout=gp.dropout, seed=gp.seed)
     result = ft.finetune(model, train_ex, dev_ex, gp, spec, tokenizer,
@@ -323,32 +325,40 @@ def _cmd_finetune(args, file_cfg: dict, seed: int, out: Path):
     }
     report_path = out / "finetune_report.json"
     report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "finetune", {**fields, "task": spec.name}, seed,
+    _write_manifest(man, out, {**fields, "task": spec.name},
                     [args.checkpoint, args.tokenizer, args.train, args.dev],
                     [ckpt_path, report_path])
     print(f"dev {spec.metric} {result.dev_score:.4f} (best epoch {result.best_epoch}) "
           f"-> {report_path}")
 
 
-def _cmd_sweep(args, file_cfg: dict, seed: int, out: Path):
+def _cmd_sweep(args, file_cfg: dict, man: RunManifest, out: Path):
     spec = _task_spec(args.task)
     fields = _resolve_fields(args, file_cfg, _SWEEP_SETTINGS)
-    enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, seed)
+    enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, man.seed)
     test_ex = ft.read_task_tsv(args.test, spec, "test")
     if fields["grid"] == "full":
         grid = ft.full_grid()
     else:
         grid = [ft.GridPoint(0.0, 1e-5, "fp32", s) for s in ft.GRID_SEEDS]
+
+    def progress(r: ft.RunRecord, seconds: float | None):
+        outcome = (f"dev {r.dev_score:.4f} test {r.test_score:.4f}" if r.status == "ok"
+                   else f"failed: {r.error}")
+        took = "worker died" if seconds is None else f"{seconds:.2f} s"
+        print(f"run {r.index} (of {len(grid)}) dropout={r.dropout} lr={r.lr} "
+              f"precision={r.precision} seed={r.seed}: {outcome} ({took})", file=sys.stderr)
+
     report = ft.run_grid(enc_config, params_from_arrays(arrays), spec, tokenizer,
                          train_ex, dev_ex, test_ex, grid=grid,
                          seq_len=fields["seq_len"], epochs=fields["epochs"],
-                         batch_size=fields["batch_size"])
+                         batch_size=fields["batch_size"], on_run=progress)
     report_path = out / "metrics_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
     summary_path = out / "summary.csv"
     summary_path.write_text(
         ft.report_csv_summary([(report.task, report.reported_test_score)]), encoding="utf-8")
-    _write_manifest(out, "sweep", {**fields, "task": spec.name}, seed,
+    _write_manifest(man, out, {**fields, "task": spec.name},
                     [args.checkpoint, args.tokenizer, args.train, args.test, args.dev],
                     [report_path, summary_path])
     sel = report.selected_config
@@ -359,7 +369,7 @@ def _cmd_sweep(args, file_cfg: dict, seed: int, out: Path):
           f"test {spec.metric} {report.reported_test_score}")
 
 
-def _cmd_eval(args, file_cfg: dict, seed: int, out: Path):
+def _cmd_eval(args, file_cfg: dict, man: RunManifest, out: Path):
     spec = _task_spec(args.task)
     fields = _resolve_fields(args, file_cfg, _EVAL_SETTINGS)
     _check_minimums(fields)
@@ -373,12 +383,12 @@ def _cmd_eval(args, file_cfg: dict, seed: int, out: Path):
               "examples": len(examples)}
     path = out / "eval_report.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "eval", {**fields, "task": spec.name}, seed,
+    _write_manifest(man, out, {**fields, "task": spec.name},
                     [args.checkpoint, args.tokenizer, args.data], [path])
     print(f"{spec.metric} {score:.4f} over {len(examples)} examples -> {path}")
 
 
-def _cmd_report(args, file_cfg: dict, seed: int, out: Path):
+def _cmd_report(args, file_cfg: dict, man: RunManifest, out: Path):
     if not args.loss_log and not args.metrics:
         raise UsageError("report needs --loss-log and/or --metrics")
     outputs = []
@@ -396,7 +406,7 @@ def _cmd_report(args, file_cfg: dict, seed: int, out: Path):
         (out / "summary.csv").write_text(ft.report_csv_summary([pair]), encoding="utf-8")
         outputs.append(out / "summary.csv")
         print(f"summary -> {out / 'summary.csv'}")
-    _write_manifest(out, "report", {}, seed, [args.loss_log, args.metrics], outputs)
+    _write_manifest(man, out, {}, [args.loss_log, args.metrics], outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +514,8 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise DataError(f"cannot create output directory {out}: {e}") from e
-        handler(args, file_cfg, seed, out)
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        handler(args, file_cfg, RunManifest(command, seed=seed, code_version=__version__), out)
         return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -6,6 +6,12 @@ looks only at development scores (mean over seeds); the reported number is
 the selected configuration's test mean. Test scores are recorded for every
 run but never consulted during selection.
 
+The runs are independent and each is seeded by its own grid point, so
+`run_grid` runs them in forked worker processes, one per usable CPU, and
+orders the records by grid index: the report is the same at any worker
+count. With one usable CPU the runs go one after another in the calling
+process.
+
 Task examples come from TSV files (`read_task_tsv`) and are tokenized by
 `encode_examples`. One scorer, `evaluate`, turns predictions into the task
 metric: every epoch's dev score, every grid run's test score and the CLI's
@@ -19,6 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import time
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 from typing import Callable, Sequence
@@ -364,6 +372,11 @@ class RunRecord:
     error: str = ""
 
 
+def _blank_record(index: int, gp: GridPoint) -> RunRecord:
+    return RunRecord(index=index, dropout=gp.dropout, lr=gp.lr, precision=gp.precision,
+                     seed=gp.seed)
+
+
 @dataclass
 class ConfigRow:
     dropout: float
@@ -447,24 +460,42 @@ def select_config(rows: Sequence[ConfigRow]) -> ConfigRow | None:
     return best
 
 
+# The `one_run` of the grid a pool is running. `run_grid` sets it just before
+# the pool forks its workers and clears it once the pool has joined them, so
+# workers inherit the encoder arrays and task data instead of unpickling them.
+_grid_job: Callable[[int], tuple[RunRecord, float]] | None = None
+
+
+def _run_grid_index(index: int) -> tuple[RunRecord, float]:
+    return _grid_job(index)
+
+
 def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: TaskSpec,
              tokenizer, train_examples, dev_examples, test_examples,
              grid: Sequence[GridPoint] | None = None, seq_len: int = 128,
-             epochs: int = 5, batch_size: int = 16) -> MetricsReport:
-    """Execute every grid point in order, then aggregate, select on dev,
-    report test.
+             epochs: int = 5, batch_size: int = 16,
+             on_run: Callable[[RunRecord, float | None], None] | None = None) -> MetricsReport:
+    """Execute every grid point, then aggregate, select on dev, report test.
 
-    Failed runs are recorded with their error, excluded from means, and
-    counted in the report. Each run fine-tunes a private model copy.
+    The points run in `min(len(grid), usable CPUs)` forked worker processes,
+    or one after another in this process when that is 1. Records are kept in
+    grid order whatever order the runs finish in. Failed runs are recorded
+    with their error, excluded from means, and counted in the report; a
+    worker that dies fails every point the pool had not finished. Each run
+    fine-tunes a private model copy. `on_run(record, seconds)` is called here
+    as each run finishes, with the seconds the run took (None when its
+    worker died).
     """
     grid = list(grid) if grid is not None else full_grid()
     if not grid:
         raise DataError("run_grid: empty grid")
     test_enc, test_labels = encode_examples(test_examples, tokenizer, seq_len)
 
-    def one_run(index: int, gp: GridPoint) -> RunRecord:
-        record = RunRecord(index=index, dropout=gp.dropout, lr=gp.lr,
-                           precision=gp.precision, seed=gp.seed)
+    def one_run(index: int) -> tuple[RunRecord, float]:
+        """The record of grid point `index` and the seconds its run took."""
+        start = time.perf_counter()
+        gp = grid[index]
+        record = _blank_record(index, gp)
         try:
             model = attach_head(enc_config, enc_params, spec.head_type,
                                 dropout=gp.dropout, seed=gp.seed)
@@ -477,9 +508,42 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
         except Exception as e:  # a failed point must not sink the sweep
             record.status = "failed"
             record.error = f"{type(e).__name__}: {e}"
-        return record
+        return record, time.perf_counter() - start
 
-    records = [one_run(i, gp) for i, gp in enumerate(grid)]
+    records: list[RunRecord | None] = [None] * len(grid)
+
+    def finished(record: RunRecord, seconds: float | None):
+        records[record.index] = record
+        if on_run is not None:
+            on_run(record, seconds)
+
+    workers = min(len(grid), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        for index in range(len(grid)):
+            finished(*one_run(index))
+    else:
+        # imported here so that commands which run no grid do not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        global _grid_job
+        _grid_job = one_run
+        try:
+            with ProcessPoolExecutor(workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = {pool.submit(_run_grid_index, i): i for i in range(len(grid))}
+                for future in as_completed(futures):
+                    index = futures[future]
+                    try:
+                        record, seconds = future.result()
+                    except BrokenProcessPool as e:
+                        record, seconds = _blank_record(index, grid[index]), None
+                        record.status = "failed"
+                        record.error = f"BrokenProcessPool: {e}"
+                    finished(record, seconds)
+        finally:
+            _grid_job = None
 
     rows = group_runs(records)
     best = select_config(rows)

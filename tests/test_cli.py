@@ -6,6 +6,8 @@ import argparse
 import hashlib
 import json
 import re
+import time
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -371,7 +373,14 @@ def test_corpus_stats_cli(ws, tmp_path, capsys):
     report = json.loads((out / "stats_report.json").read_text())
     assert report["sources"]["OSCAR"]["documents"] == 12
     assert report["sources"]["OSCAR"]["doc_proportion"] == pytest.approx(0.5)
-    assert (out / "manifest.json").exists()
+    man = json.loads((out / "manifest.json").read_text())
+    assert set(man["input_digests"]) == {str(ws["corpus"])}
+    # subword counts depend on the vocabulary, so its digest is recorded too
+    out = tmp_path / "stats_tok"
+    assert cli.main(["corpus", "stats", "--input", str(ws["corpus"]),
+                     "--tokenizer", str(ws["vocab"]), "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert set(man["input_digests"]) == {str(ws["corpus"]), str(ws["vocab"])}
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +512,28 @@ def test_pretrain_artifacts(ws):
     assert len(man["outputs"]) == 4
 
 
+def test_manifest_spans_the_run(ws, tmp_path, monkeypatch):
+    real = cli.pt.train
+    took = []
+
+    def timed(*a, **kw):
+        start = time.perf_counter()
+        try:
+            return real(*a, **kw)
+        finally:
+            took.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(cli.pt, "train", timed)
+    out = tmp_path / "pre"
+    assert cli.main(["pretrain", "--input", str(ws["filtered"]), "--tokenizer", str(ws["vocab"]),
+                     "--preset", "micro", "--seq-len", "32", "--micro-batch-size", "4",
+                     "--warmup-steps", "2", "--total-steps", "6", "--checkpoint-every", "0",
+                     "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    started, finished = (datetime.fromisoformat(man[k]) for k in ("started_at", "finished_at"))
+    assert (finished - started).total_seconds() >= took[0] > 0
+
+
 # ---------------------------------------------------------------------------
 # finetune / eval / sweep commands
 
@@ -594,10 +625,14 @@ def test_eval_seq_len_from_config_file(ws, tmp_path, caplog, monkeypatch):
 
 
 def test_finetune_and_sweep_carve_the_same_dev_split(ws, tmp_path, monkeypatch):
-    seen = []
+    # the sweep's calls run in worker processes, so the spy appends to a file
+    calls = tmp_path / "calls.jsonl"
 
     def record(model, train_examples, dev_examples, *a, **kw):
-        seen.append(([e.sentence_a for e in train_examples], [e.sentence_a for e in dev_examples]))
+        line = json.dumps([[e.sentence_a for e in train_examples],
+                           [e.sentence_a for e in dev_examples]])
+        with open(calls, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
         raise DataError("stop after the split")
 
     monkeypatch.setattr(ft, "finetune", record)
@@ -607,6 +642,7 @@ def test_finetune_and_sweep_carve_the_same_dev_split(ws, tmp_path, monkeypatch):
     assert cli.main(["finetune", *common, "--out", str(tmp_path / "fin")]) == 2
     assert cli.main(["sweep", *common, "--test", str(ws["test_tsv"]), "--grid", "quick",
                      "--out", str(tmp_path / "sweep")]) == 2
+    seen = [tuple(json.loads(line)) for line in calls.read_text(encoding="utf-8").splitlines()]
     assert len(seen) == 4
     train, dev = seen[0]
     assert len(dev) == 2 and len(train) == 22
@@ -622,7 +658,14 @@ def test_sweep_quick_cli(ws, tmp_path, capsys):
                    "--grid", "quick", "--epochs", "1", "--batch-size", "8",
                    "--seq-len", "32", "--out", str(out)])
     assert rc == 0
-    assert "3 runs" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "3 runs" in captured.out
+    # one progress line per finished run, in whatever order the runs finish
+    lines = sorted(line for line in captured.err.splitlines() if line.startswith("run "))
+    assert len(lines) == 3
+    for index, (line, seed) in enumerate(zip(lines, ft.GRID_SEEDS)):
+        assert re.fullmatch(rf"run {index} \(of 3\) dropout=0\.0 lr=1e-05 precision=fp32 "
+                            rf"seed={seed}: dev [0-9.]+ test [0-9.]+ \([0-9.]+ s\)", line), line
     report = json.loads((out / "metrics_report.json").read_text())
     assert len(report["runs"]) == 3
     assert len(report["configs"]) == 1

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -765,6 +769,87 @@ def test_run_grid_leaves_pretrained_arrays_unchanged(task_micro, task_tokenizer,
     inside = dataclasses.asdict(full.runs[2])
     assert inside.pop("index") == 2
     assert record == inside
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_run_grid_same_bytes_inline_and_in_workers(task_micro, task_tokenizer, small_splits,
+                                                    tmp_path, monkeypatch):
+    cfg, params = task_micro
+    train, dev, test = small_splits
+    grid = [GridPoint(d, 1e-3, p, s) for d in (0.0, 0.1)
+            for p, s in (("fp32", 41), ("fp16", 42), ("fp32", 43))]
+    pids = tmp_path / "pids"
+    real = ft.attach_head
+
+    def spy(*a, **kw):  # the process each run trains in
+        with open(pids, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(ft, "attach_head", spy)
+
+    def run(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pids.unlink(missing_ok=True)
+        seen = []
+        with deadline(300):
+            rep = run_grid(cfg, params, RTE, task_tokenizer, train, dev, test, grid=grid,
+                           seq_len=32, epochs=2, batch_size=8,
+                           on_run=lambda r, seconds: seen.append((r.index, seconds)))
+        assert multiprocessing.active_children() == []
+        assert sorted(i for i, _ in seen) == list(range(6))
+        assert all(seconds > 0 for _, seconds in seen)
+        return rep.to_json(), set(pids.read_text(encoding="utf-8").split())
+
+    inline, inline_pids = run(1)
+    pooled, pooled_pids = run(2)
+    assert inline_pids == {str(os.getpid())}
+    assert len(pooled_pids) == 2 and str(os.getpid()) not in pooled_pids
+    assert [r["status"] for r in json.loads(inline)["runs"]] == ["ok"] * 6
+    assert pooled == inline
+
+
+def test_run_grid_worker_death_is_a_failed_record(task_micro, task_tokenizer, small_splits,
+                                                  monkeypatch, capfd):
+    cfg, params = task_micro
+    train, dev, test = small_splits
+    real = ft.finetune
+
+    def crash(model, train_ex, dev_ex, gp, spec, tokenizer, **kw):
+        if gp.seed == 42:
+            os._exit(3)
+        return real(model, train_ex, dev_ex, gp, spec, tokenizer, **kw)
+
+    monkeypatch.setattr(ft, "finetune", crash)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    grid = [GridPoint(0.0, 1e-3, "fp32", s) for s in (41, 42, 43)]
+    seen = []
+    with deadline(300):
+        rep = ft.run_grid(cfg, params, RTE, task_tokenizer, train, dev, test, grid=grid,
+                          seq_len=32, epochs=1, batch_size=16,
+                          on_run=lambda r, seconds: seen.append((r.index, seconds)))
+    assert multiprocessing.active_children() == []
+    assert [r.index for r in rep.runs] == [0, 1, 2]
+    dead = rep.runs[1]
+    assert dead.status == "failed" and dead.dev_score is None
+    assert dead.error.startswith("BrokenProcessPool: ") and "\n" not in dead.error
+    assert (1, None) in seen and len(seen) == 3
+    assert rep.n_failed == sum(r.status == "failed" for r in rep.runs)
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_run_grid_rejects_empty_grid(task_micro, task_tokenizer, small_splits):
