@@ -7,9 +7,15 @@ needs is composed from these, which keeps the gradient-check surface finite.
 
 Graphs are define-by-run: each op returns a new Tensor holding a backward
 closure and its parents. `backward(loss)` walks the graph once in reverse
-topological order; re-running it on the same loss raises unless the graph
-is explicitly reset. Gradients accumulate in place into a tensor's own
-`.grad` array.
+topological order and releases it as it goes: once a node's closure has
+run, the node drops its gradient, closure and parents, so each activation
+and intermediate gradient is freed as soon as backward has used it. Only
+the leaves keep their gradients. A walked graph is consumed: a second
+backward on it raises, also after `reset_graph`. Gradients accumulate in
+place into a tensor's own `.grad` array; a fresh, C-contiguous gradient
+becomes that array as it is, and anything else is copied to C order.
+Inside `with no_grad():` ops record no parents and no closure, so
+inference builds no graph at all.
 
 The hot kernels are shaped for numpy rather than written as the textbook
 loop: a weight product runs as one 2-D GEMM over every leading position,
@@ -22,6 +28,7 @@ function).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +39,7 @@ from lusoforge.errors import ContractError, EmptyLossError, ShapeError
 _ALLOWED_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+_grad_enabled = True  # False inside `no_grad()`
 
 
 class Tensor:
@@ -92,12 +100,25 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x), dtype=dtype)
 
 
+@contextmanager
+def no_grad():
+    """Build no graph inside this scope: ops return parentless tensors that
+    keep no backward closure, as for inference. The previous state comes
+    back on exit, so scopes nest."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._backward_ran = False
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -109,10 +130,20 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    """Add g into t.grad. t.grad is always t's own array (a copy of the first
-    contribution), so later contributions are added to it in place."""
+    """Add g into t.grad, which is always t's own C-contiguous array, so
+    later contributions are added to it in place.
+
+    The first contribution becomes t.grad as it is when it is a writeable,
+    C-contiguous ndarray: backward closures hand each parent either a fresh
+    array or a view of the walked node's gradient, which that node releases
+    right after. Anything else is copied to C order. A closure that passes
+    one array to two parents copies it for the second (see `add`).
+    """
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+        if isinstance(g, np.ndarray) and g.flags.c_contiguous and g.flags.writeable:
+            t.grad = g
+        else:
+            t.grad = np.array(g, order="C")
     else:
         np.add(t.grad, g, out=t.grad)
 
@@ -143,7 +174,10 @@ def add(a, b) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            gb = _unbroadcast(g, b.data.shape)
+            if gb is a.grad and a is not b:  # a has just taken g as its own grad
+                gb = gb.copy()
+            _accumulate(b, gb)
 
     return _make(data, (a, b), backward)
 
@@ -599,29 +633,36 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor):
-    """Populate .grad for every requires_grad tensor reachable from `loss`.
+    """Populate .grad for every requires_grad leaf reachable from `loss`.
 
-    loss must be a scalar. The graph is single-use: a second backward on the
-    same loss raises unless reset_graph() was called in between.
+    loss must be a scalar. The walk releases the graph behind it: each
+    non-leaf node, the loss included, ends with no grad, closure or parents,
+    and is marked as walked. The graph is therefore single-use: backward
+    raises ContractError on any graph that holds a walked node, since its
+    gradients would be partial.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss._backward_ran:
-        raise ContractError("backward already ran on this graph; call reset_graph first")
     order = _toposort(loss)
+    if any(node._backward_ran for node in order):
+        raise ContractError("backward already walked (and released) this graph; "
+                            "build it again")
     loss.grad = np.ones((), dtype=loss.data.dtype)
     for node in reversed(order):
-        node._backward_ran = True
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad = None
+            node._backward = None
+            node._parents = ()
+            node._backward_ran = True
     return loss
 
 
 def reset_graph(loss: Tensor):
-    """Clear intermediate grads and the consumed flag so the same graph can
-    be walked again. Leaf (parameter) grads are left untouched."""
+    """Clear the intermediate grads of a graph that backward has not walked.
+    Leaf (parameter) grads are left untouched. A walked graph was released
+    and stays consumed: backward on it still raises ContractError."""
     for node in _toposort(loss):
-        node._backward_ran = False
         if node._parents:
             node.grad = None
-    loss.grad = None

@@ -9,8 +9,9 @@ run but never consulted during selection.
 The runs are independent and each is seeded by its own grid point, so
 `run_grid` runs them in forked worker processes, one per usable CPU, and
 orders the records by grid index: the report is the same at any worker
-count. With one usable CPU the runs go one after another in the calling
-process.
+count. Each worker pins BLAS to one thread, and a worker's death fails only
+the grid point that caused it. With one usable CPU the runs go one after
+another in the calling process.
 
 Task examples come from TSV files (`read_task_tsv`) and are tokenized by
 `encode_examples`. One scorer, `evaluate`, turns predictions into the task
@@ -260,11 +261,13 @@ def _pad_batch(encoded: Sequence[tok_mod.TokenSequence]):
 
 def predict(model: TaskModel, encoded, batch_size: int = 32,
             label_range: tuple[float, float] | None = None) -> np.ndarray:
-    """Deterministic (dropout-free) predictions: class ids or clipped values."""
+    """Deterministic (dropout-free) predictions: class ids or clipped values.
+    The forward runs under `no_grad`, so it builds no graph."""
     preds: list[np.ndarray] = []
     for start in range(0, len(encoded), batch_size):
         ids, segs, mask = _pad_batch(encoded[start : start + batch_size])
-        out = model.forward(ids, segs, mask, rng=None)
+        with ad.no_grad():
+            out = model.forward(ids, segs, mask, rng=None)
         if model.head_type == "regression":
             vals = out.data[:, 0].astype(np.float64)
             if label_range is not None:
@@ -470,6 +473,33 @@ def _run_grid_index(index: int) -> tuple[RunRecord, float]:
     return _grid_job(index)
 
 
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread():
+    """Pool initializer: give this worker one OpenBLAS thread, so the workers
+    do not oversubscribe the cores they share. It calls the thread setter of
+    each OpenBLAS the process has loaded (numpy's bundled
+    `libscipy_openblas64_*.so`); with none found it changes nothing."""
+    import ctypes  # here, not at module top: only grid workers need it
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            # the path is the last field of a mapping line
+            paths = sorted({line.split(None, 5)[-1].strip() for line in f if "openblas" in line})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded, so this returns the same handle
+        except OSError:
+            continue
+        setter = next((getattr(lib, n) for n in _BLAS_THREAD_SETTERS if hasattr(lib, n)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: TaskSpec,
              tokenizer, train_examples, dev_examples, test_examples,
              grid: Sequence[GridPoint] | None = None, seq_len: int = 128,
@@ -480,10 +510,12 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
     The points run in `min(len(grid), usable CPUs)` forked worker processes,
     or one after another in this process when that is 1. Records are kept in
     grid order whatever order the runs finish in. Failed runs are recorded
-    with their error, excluded from means, and counted in the report; a
-    worker that dies fails every point the pool had not finished. Each run
-    fine-tunes a private model copy. `on_run(record, seconds)` is called here
-    as each run finishes, with the seconds the run took (None when its
+    with their error, excluded from means, and counted in the report. A
+    worker that dies breaks the pool; each point left unfinished then runs
+    again alone in a one-worker pool, so only a point that kills its own
+    worker is recorded as failed. Each worker runs BLAS on one thread. Each
+    run fine-tunes a private model copy. `on_run(record, seconds)` is called
+    here as each run finishes, with the seconds the run took (None when its
     worker died).
     """
     grid = list(grid) if grid is not None else full_grid()
@@ -527,21 +559,36 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
+        def pool(n):
+            return ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_one_blas_thread)
+
         global _grid_job
         _grid_job = one_run
         try:
-            with ProcessPoolExecutor(workers,
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = {pool.submit(_run_grid_index, i): i for i in range(len(grid))}
+            unfinished = []
+            with pool(workers) as shared:
+                futures = {shared.submit(_run_grid_index, i): i for i in range(len(grid))}
                 for future in as_completed(futures):
-                    index = futures[future]
                     try:
-                        record, seconds = future.result()
+                        result = future.result()
+                    except BrokenProcessPool:
+                        unfinished.append(futures[future])
+                        continue
+                    finished(*result)
+            # a dead worker broke the shared pool: rerun each point it left
+            # unfinished alone, so that only the point that kills its own
+            # worker is recorded as failed
+            for index in sorted(unfinished):
+                with pool(1) as alone:
+                    try:
+                        result = alone.submit(_run_grid_index, index).result()
                     except BrokenProcessPool as e:
-                        record, seconds = _blank_record(index, grid[index]), None
+                        record = _blank_record(index, grid[index])
                         record.status = "failed"
                         record.error = f"BrokenProcessPool: {e}"
-                    finished(record, seconds)
+                        result = record, None
+                finished(*result)
         finally:
             _grid_job = None
 

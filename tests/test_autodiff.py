@@ -1,5 +1,6 @@
 """Autodiff unit tests: every op against central differences, plus the
-graph lifecycle contract (single-use backward, reset, broadcasting)."""
+graph lifecycle contract (single-use backward that releases the graph,
+reset, gradient ownership, no_grad, broadcasting)."""
 
 from __future__ import annotations
 
@@ -356,6 +357,115 @@ def test_deep_chain_no_recursion_limit():
         y = ad.scale(y, 1.0)
     backward(ad.tensor_sum(y))
     np.testing.assert_array_equal(x.grad, [1.0])
+
+
+def test_backward_releases_the_graph():
+    rng = np.random.default_rng(3)
+    x = t64(rng.normal(size=(2, 3, 4)))
+    w = t64(rng.normal(size=(4, 5)))
+    h = ad.gelu(ad.matmul(x, w))
+    h = ad.reshape(ad.transpose(h, (0, 2, 1)), (2, 15))
+    loss = ad.cross_entropy(ad.add(h, h), np.array([1, 4]))
+    nodes = ad._toposort(loss)
+    inner = [n for n in nodes if n._parents]
+    assert loss in inner and len(inner) == 6  # matmul gelu transpose reshape add ce
+    backward(loss)
+    for node in inner:
+        assert node.grad is None and node._backward is None and node._parents == ()
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_walked_graph_stays_consumed_after_reset():
+    x = t64(np.ones(3))
+    loss = ad.tensor_sum(ad.mul(x, x))
+    backward(loss)
+    ad.reset_graph(loss)
+    with pytest.raises(ContractError):
+        backward(loss)
+    np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+
+def test_backward_through_a_walked_subgraph_raises():
+    x = t64(np.ones(3))
+    shared = ad.mul(x, x)
+    backward(ad.tensor_sum(shared))
+    with pytest.raises(ContractError):
+        backward(ad.tensor_sum(ad.scale(shared, 2.0)))
+
+
+def test_add_gives_each_parent_its_own_gradient():
+    rng = np.random.default_rng(4)
+    x, y, w = (t64(rng.normal(size=(3, 4))) for _ in range(3))
+    # both inputs of the add are used again, and backward reaches the add first
+    loss = ad.add(ad.tensor_sum(ad.mul(ad.add(x, y), w)), ad.tensor_sum(ad.mul(x, y)))
+    backward(loss)
+    assert not np.shares_memory(x.grad, y.grad)
+    np.testing.assert_allclose(x.grad, w.data + y.data, rtol=1e-12)
+    np.testing.assert_allclose(y.grad, w.data + x.data, rtol=1e-12)
+
+
+def test_add_of_a_tensor_to_itself_doubles_its_gradient():
+    rng = np.random.default_rng(5)
+    x, w = t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(3, 4)))
+    backward(ad.tensor_sum(ad.mul(ad.add(x, x), w)))
+    np.testing.assert_array_equal(x.grad, 2 * w.data)
+
+
+def test_structural_gradients_are_c_contiguous():
+    rng = np.random.default_rng(6)
+    x = t64(rng.normal(size=(2, 3, 4)))
+    w = rng.normal(size=(4, 2, 3))
+    backward(ad.tensor_sum(ad.mul(ad.transpose(x, (2, 0, 1)), t64(w, False))))
+    assert x.grad.flags.c_contiguous
+    np.testing.assert_array_equal(x.grad, np.transpose(w, (1, 2, 0)))
+
+    y = t64(rng.normal(size=(2, 3, 4)))
+    v = rng.normal(size=(6, 4))
+    backward(ad.tensor_sum(ad.mul(ad.reshape(ad.transpose(y, (1, 0, 2)), (6, 4)),
+                                  t64(v, False))))
+    assert y.grad.flags.c_contiguous
+    np.testing.assert_array_equal(y.grad, np.transpose(v.reshape(3, 2, 4), (1, 0, 2)))
+
+
+def test_no_grad_builds_parentless_nodes():
+    x = t64(np.ones((2, 3)))
+    w = t64(np.ones((3, 2)))
+    with ad.no_grad():
+        out = ad.gelu(ad.matmul(x, w))
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    np.testing.assert_array_equal(out.data, ad.gelu(ad.matmul(x, w)).data)
+    assert ad.gelu(ad.matmul(x, w))._parents  # the graph is back after the scope
+
+
+def test_no_grad_nests_and_restores_on_exception():
+    x = t64(np.ones(3))
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert ad.mul(x, x)._parents == ()  # the inner exit keeps the outer scope
+    assert ad.mul(x, x)._parents
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    assert ad.mul(x, x)._parents
+
+
+def test_predict_bytes_do_not_depend_on_no_grad(monkeypatch):
+    import contextlib
+
+    from lusoforge.encoder import init_params, preset
+    from lusoforge.finetune import attach_head, predict
+    from lusoforge.tokenizer import TokenSequence
+
+    cfg = preset("micro", vocab_size=40)
+    model = attach_head(cfg, init_params(cfg, np.random.default_rng(7)), "regression")
+    rng = np.random.default_rng(8)
+    encoded = [TokenSequence([int(i) for i in rng.integers(0, 40, size=n)], [0] * n)
+               for n in (5, 9, 12, 7)]
+    without = predict(model, encoded, batch_size=3)
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    graphed = predict(model, encoded, batch_size=3)
+    assert without.tobytes() == graphed.tobytes()
 
 
 # --------------------------------------------------------------- gradcheck

@@ -852,6 +852,53 @@ def test_run_grid_worker_death_is_a_failed_record(task_micro, task_tokenizer, sm
     assert "Traceback" not in capfd.readouterr().err
 
 
+def test_run_grid_worker_death_fails_only_its_own_point(task_micro, task_tokenizer,
+                                                       small_splits, monkeypatch):
+    cfg, params = task_micro
+    train, dev, test = small_splits
+    real = ft.finetune
+
+    def crash(model, train_ex, dev_ex, gp, spec, tokenizer, **kw):
+        if gp.seed == 42:
+            os._exit(3)
+        return real(model, train_ex, dev_ex, gp, spec, tokenizer, **kw)
+
+    monkeypatch.setattr(ft, "finetune", crash)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    grid = [GridPoint(d, 1e-3, "fp32", s) for d in (0.0, 0.1) for s in (41, 42, 43)]
+    seen = []
+    with deadline(300):
+        rep = ft.run_grid(cfg, params, RTE, task_tokenizer, train, dev, test, grid=grid,
+                          seq_len=32, epochs=1, batch_size=16,
+                          on_run=lambda r, seconds: seen.append((r.index, seconds)))
+    assert multiprocessing.active_children() == []
+    assert sorted(i for i, _ in seen) == list(range(6))
+    assert [r.status for r in rep.runs] == ["ok", "failed", "ok"] * 2
+    for r in rep.runs:
+        assert (r.status == "failed") == (r.seed == 42)
+        if r.status == "failed":
+            assert r.error.startswith("BrokenProcessPool: ") and (r.index, None) in seen
+    assert rep.n_failed == 2
+
+
+def test_grid_worker_initializer_pins_one_blas_thread():
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        paths = sorted({line.split(None, 5)[-1].strip() for line in f
+                        if "libscipy_openblas64_" in line})
+    if not paths:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    lib = ctypes.CDLL(paths[0])
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        ft._one_blas_thread()
+        assert lib.scipy_openblas_get_num_threads64_() == 1
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
 def test_run_grid_rejects_empty_grid(task_micro, task_tokenizer, small_splits):
     cfg, params = task_micro
     train, dev, test = small_splits
