@@ -11,7 +11,7 @@ topological order and releases it as it goes: once a node's closure has
 run, the node drops its gradient, closure and parents, so each activation
 and intermediate gradient is freed as soon as backward has used it. Only
 the leaves keep their gradients. A walked graph is consumed: a second
-backward on it raises, also after `reset_graph`. Gradients accumulate in
+backward on it raises. Gradients accumulate in
 place into a tensor's own `.grad` array; a fresh, C-contiguous gradient
 becomes that array as it is, and anything else is copied to C order.
 Inside `with no_grad():` ops record no parents and no closure, so
@@ -76,28 +76,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # thin operator sugar; the module-level functions are the real API
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else None
-    return Tensor(np.asarray(x), dtype=dtype)
 
 
 @contextmanager
@@ -165,9 +145,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise / structural ops
 
 
-def add(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
@@ -182,9 +160,7 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
@@ -207,8 +183,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sub(a, b) -> Tensor:
-    return add(a, scale(_as_tensor(b), -1.0))
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    return add(a, scale(b, -1.0))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -217,8 +193,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     A product with a 2-D weight, [..., h] @ [h, n], runs as one 2-D GEMM over
     the [prod(...), h] view, and its weight gradient is one GEMM too.
     """
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -307,30 +281,30 @@ def take(a: Tensor, index: int, axis: int) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def _move_columns(x: np.ndarray, dst: slice, src: slice) -> np.ndarray:
+    """A new array with x[:, src] at [:, dst] and zeros elsewhere along axis 1."""
+    out = np.empty_like(x)
+    out[:, dst] = x[:, src]
+    out[:, :dst.start] = 0
+    out[:, dst.stop:] = 0
+    return out
+
+
 def shift_seq(a: Tensor, offset: int) -> Tensor:
     """Shift along axis 1 by `offset`, filling vacated positions with zeros.
 
     out[:, i] = a[:, i - offset]; used to express 1-D convolutions as a sum
     of shifted matmuls.
     """
-    data = np.zeros_like(a.data)
-    if offset == 0:
-        data = a.data.copy()
-    elif offset > 0:
-        data[:, offset:] = a.data[:, :-offset]
-    else:
-        data[:, :offset] = a.data[:, -offset:]
+    n = a.shape[1]
+    offset = max(-n, min(offset, n))
+    dst = slice(max(offset, 0), n + min(offset, 0))  # out[:, dst] = a[:, src]
+    src = slice(max(-offset, 0), n - max(offset, 0))
+    data = _move_columns(a.data, dst, src)
 
     def backward(g):
         if a.requires_grad:
-            gin = np.zeros_like(g)
-            if offset == 0:
-                gin = g
-            elif offset > 0:
-                gin[:, :-offset] = g[:, offset:]
-            else:
-                gin[:, -offset:] = g[:, :offset]
-            _accumulate(a, gin)
+            _accumulate(a, _move_columns(g, src, dst))
 
     return _make(data, (a,), backward)
 
@@ -449,7 +423,10 @@ _ERF32_P = tuple(np.float32(c) for c in (
 _ERF32_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02))
-_ERF32_BLOCK = 1 << 15  # entries per pass, so the Horner passes stay in cache
+# Entries per pass, so the Horner passes stay in cache. Whole-array passes
+# give the same bits but raised pretrain-v8k peak RSS by 1.5 MB (190.8 ->
+# 192.3 MB, worse in 6 of 6 benchmark pairs), so the blocking stays.
+_ERF32_BLOCK = 1 << 15
 
 
 def _erf32(x: np.ndarray) -> np.ndarray:
@@ -657,12 +634,3 @@ def backward(loss: Tensor):
             node._parents = ()
             node._backward_ran = True
     return loss
-
-
-def reset_graph(loss: Tensor):
-    """Clear the intermediate grads of a graph that backward has not walked.
-    Leaf (parameter) grads are left untouched. A walked graph was released
-    and stays consumed: backward on it still raises ContractError."""
-    for node in _toposort(loss):
-        if node._parents:
-            node.grad = None

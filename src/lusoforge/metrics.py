@@ -47,8 +47,6 @@ def f1_binary(pred: Sequence[int], gold: Sequence[int], positive_class: int = 1)
     tp = sum(1 for p, g in zip(pred, gold) if p == positive_class and g == positive_class)
     fp = sum(1 for p, g in zip(pred, gold) if p == positive_class and g != positive_class)
     fn = sum(1 for p, g in zip(pred, gold) if p != positive_class and g == positive_class)
-    if tp == 0 and (fp > 0 or fn > 0):
-        return 0.0
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)

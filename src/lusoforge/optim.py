@@ -6,7 +6,9 @@ and aborts with the offending parameter's name, so a poisoned update never
 lands. The moments and the parameters are updated in place, through one
 scratch buffer per parameter; a parameter array therefore must not be
 shared with anything that expects it to stay fixed (models copy the arrays
-they are built from).
+they are built from). The moment decays BETA1 and BETA2, the denominator's
+EPS and the name tags DECAY_SKIP of the parameters exempt from weight decay
+are module constants; only the learning rate and the decay are settings.
 """
 
 from __future__ import annotations
@@ -16,31 +18,23 @@ import numpy as np
 from lusoforge.autodiff import Tensor
 from lusoforge.errors import NumericalError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-6
+DECAY_SKIP = (".b", "bias", "gain", "ln.")  # biases and layer-norm parameters
+
 
 class Adam:
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-6,
-        weight_decay: float = 0.01,
-        decay_skip: tuple[str, ...] = (".b", "bias", "gain", "ln."),
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
-        self._skip = decay_skip
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def _decays(self, name: str) -> bool:
-        return not any(tag in name for tag in self._skip)
+        return not any(tag in name for tag in DECAY_SKIP)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -54,7 +48,7 @@ class Adam:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericalError(f"non-finite gradient in parameter '{name}'")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params.items():
@@ -73,23 +67,9 @@ class Adam:
             v += s
             np.divide(v, bc2, out=s)
             np.sqrt(s, out=s)
-            s += self.eps
+            s += EPS
             np.divide(m, s, out=s)
             s *= self.lr / bc1
             if self.weight_decay and self._decays(name):
                 p.data *= 1.0 - self.lr * self.weight_decay
             p.data -= s
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers keyed for checkpointing."""
-        out: dict[str, np.ndarray] = {}
-        for k in self.params:
-            out[f"adam.m.{k}"] = self.m[k]
-            out[f"adam.v.{k}"] = self.v[k]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int):
-        for k in self.params:
-            self.m[k] = arrays[f"adam.m.{k}"].copy()
-            self.v[k] = arrays[f"adam.v.{k}"].copy()
-        self.t = t

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -307,21 +307,27 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
     are summed and divided by the window's total count of predicted tokens,
     which reproduces single-large-batch training exactly. Non-finite loss
     aborts with the most recent periodic checkpoint left on disk.
+
+    With init_checkpoint, training starts from that checkpoint's config and
+    arrays; a given dropout_rate replaces the stored one, and a tokenizer of
+    another vocabulary size is refused before the corpus is tokenized.
     """
+    root = np.random.SeedSequence(config.seed)
+    init_ss, mask_ss, shuffle_ss, dropout_ss = root.spawn(4)
+    if config.init_checkpoint:
+        enc_config, arrays, _ = load_checkpoint(config.init_checkpoint)
+        if enc_config.vocab_size != tokenizer.vocab_size:
+            raise DataError(f"tokenizer has {tokenizer.vocab_size} entries but checkpoint "
+                            f"{config.init_checkpoint} has {enc_config.vocab_size}")
+        if config.dropout_rate is not None:
+            enc_config = replace(enc_config, dropout_rate=config.dropout_rate)
+        params = params_from_arrays(arrays)  # every layer kept as stored
+    else:
+        enc_config = build_encoder_config(config, tokenizer.vocab_size)
+        params = init_params(enc_config, np.random.default_rng(init_ss))
     sequences = tokenize_corpus(corpus, tokenizer, config.seq_len)
     if not sequences:
         raise DataError("training corpus is empty after tokenization")
-
-    enc_config = build_encoder_config(config, tokenizer.vocab_size)
-    root = np.random.SeedSequence(config.seed)
-    init_ss, mask_ss, shuffle_ss, dropout_ss = root.spawn(4)
-
-    if config.init_checkpoint:
-        loaded_cfg, arrays, _ = load_checkpoint(config.init_checkpoint)
-        enc_config = loaded_cfg
-        params = params_from_arrays(arrays)  # every layer kept as stored
-    else:
-        params = init_params(enc_config, np.random.default_rng(init_ss))
     model = DisentangledEncoder(enc_config, params)
 
     opt = Adam(params, lr=0.0, weight_decay=config.weight_decay)

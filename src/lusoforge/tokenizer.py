@@ -6,9 +6,7 @@ is greedy (Sennrich et al. 2016): repeatedly merge the most frequent adjacent
 symbol pair, ties broken by lexicographically smallest pair, until the
 vocabulary budget is spent or no pairs remain. Pair counts are taken once and
 then updated incrementally: a merge rewrites only the words that contain the
-merged pair, and a heap yields the next best pair. No randomness is involved;
-the seed parameter is accepted for interface uniformity and recorded, nothing
-more.
+merged pair, and a heap yields the next best pair. No randomness is involved.
 
 Special ids sit at the low end and are never produced by text encoding:
 PAD=0, UNK=1, CLS=2, SEP=3, MASK=4.

@@ -28,7 +28,7 @@ from lusoforge.encoder import (
     standard_attention,
 )
 from lusoforge.errors import DataError, NumericalError
-from lusoforge.optim import Adam
+from lusoforge.optim import BETA1, BETA2, EPS, Adam
 from lusoforge.tokenizer import SPECIAL_TOKENS, _marked_words
 
 
@@ -189,7 +189,7 @@ class AdamReference(Adam):
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise NumericalError(f"non-finite gradient in parameter '{name}'")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params.items():
@@ -198,7 +198,7 @@ class AdamReference(Adam):
                 continue
             m = self.m[name] = self.m[name] * b1 + (1.0 - b1) * g
             v = self.v[name] = self.v[name] * b2 + (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             if self.weight_decay and self._decays(name):
                 update = update + self.weight_decay * p.data
             p.data = (p.data - self.lr * update).astype(p.data.dtype, copy=False)

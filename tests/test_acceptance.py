@@ -123,7 +123,6 @@ def test_a02_attention_oracles():
 
     # zeroed position table: the three-term sum collapses to plain content
     # attention at temperature sqrt(3*dh)
-    ad.reset_graph(c2c); ad.reset_graph(c2p); ad.reset_graph(p2c)
     ctx, _ = disentangled_attention(H, Tensor(np.zeros_like(Pd)), mask,
                                     params, "layer0", nh)
     dh = h // nh

@@ -41,12 +41,7 @@ def assert_grad_matches(build_loss, x: Tensor, rtol=1e-5, atol=1e-8):
     analytic = x.grad.copy()
     x.grad = None
 
-    def scalar():
-        out = build_loss()
-        ad.reset_graph(out)
-        return float(out.data)
-
-    numeric = numeric_grad(scalar, x.data)
+    numeric = numeric_grad(lambda: float(build_loss().data), x.data)
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
@@ -129,6 +124,21 @@ def test_shift_seq_forward_and_backward():
     np.testing.assert_array_equal(shifted.data[0, 1:], x.data[0, :-1])
     assert_grad_matches(lambda: ad.tensor_sum(ad.mul(ad.shift_seq(x, 1), ad.shift_seq(x, 1))), x)
     assert_grad_matches(lambda: ad.tensor_sum(ad.mul(ad.shift_seq(x, -2), ad.shift_seq(x, -2))), x)
+
+
+@pytest.mark.parametrize("offset", range(-5, 6))
+def test_shift_seq_is_a_zero_filled_roll_at_every_offset(offset):
+    rng = np.random.default_rng(offset + 5)
+    x = t64(rng.normal(size=(2, 4, 3)))
+    want = np.zeros_like(x.data)
+    for i in range(4):
+        if 0 <= i - offset < 4:
+            want[:, i] = x.data[:, i - offset]
+    out = ad.shift_seq(x, offset)
+    np.testing.assert_array_equal(out.data, want)
+    g = rng.normal(size=x.shape)
+    backward(ad.tensor_sum(ad.mul(out, t64(g, requires_grad=False))))
+    np.testing.assert_array_equal(x.grad, ad.shift_seq(t64(g), -offset).data)
 
 
 def test_gather_last_forward():
@@ -313,13 +323,13 @@ def test_backward_is_single_use():
     backward(loss)
     with pytest.raises(ContractError):
         backward(loss)
+    np.testing.assert_array_equal(x.grad, 2 * x.data)  # the refused walk added nothing
 
 
-def test_reset_graph_allows_rebuild():
+def test_rebuilt_graph_backpropagates_afresh():
     x = t64(np.ones(3))
     loss = ad.tensor_sum(ad.mul(x, x))
     backward(loss)
-    ad.reset_graph(loss)
     x.grad = None
     loss2 = ad.tensor_sum(ad.mul(x, x))
     backward(loss2)
@@ -373,16 +383,6 @@ def test_backward_releases_the_graph():
     for node in inner:
         assert node.grad is None and node._backward is None and node._parents == ()
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
-
-
-def test_walked_graph_stays_consumed_after_reset():
-    x = t64(np.ones(3))
-    loss = ad.tensor_sum(ad.mul(x, x))
-    backward(loss)
-    ad.reset_graph(loss)
-    with pytest.raises(ContractError):
-        backward(loss)
-    np.testing.assert_array_equal(x.grad, 2 * x.data)
 
 
 def test_backward_through_a_walked_subgraph_raises():

@@ -534,6 +534,52 @@ def test_manifest_spans_the_run(ws, tmp_path, monkeypatch):
     assert (finished - started).total_seconds() >= took[0] > 0
 
 
+def _continue_pretraining(ws, out, checkpoint, *extra):
+    return cli.main(["pretrain", "--input", str(ws["filtered"]), "--tokenizer", str(ws["vocab"]),
+                     "--init-checkpoint", str(checkpoint), "--seq-len", "32",
+                     "--micro-batch-size", "4", "--accumulation-steps", "1",
+                     "--warmup-steps", "0", "--total-steps", "3", "--checkpoint-every", "0",
+                     "--seed", "5", "--out", str(out), *extra])
+
+
+def test_init_checkpoint_continues_pretraining(ws, tmp_path, monkeypatch, capsys):
+    init = ws["pre"] / "model.ckpt"  # trained at dropout 0.0
+    _, init_arrays, _ = load_checkpoint(init)
+
+    # --peak-lr 0 leaves every array as the init checkpoint stored it
+    assert _continue_pretraining(ws, tmp_path / "still", init, "--peak-lr", "0") == 0
+    config, arrays, _ = load_checkpoint(tmp_path / "still" / "model.ckpt")
+    assert config.dropout_rate == 0.0
+    assert arrays.keys() == init_arrays.keys()
+    for name, arr in init_arrays.items():
+        np.testing.assert_array_equal(arrays[name], arr, err_msg=name)
+
+    # a given dropout rate overrides the checkpoint's, in training and in every record
+    logs = {}
+    for rate in ("0.0", "0.5"):
+        out = tmp_path / f"drop{rate}"
+        assert _continue_pretraining(ws, out, init, "--peak-lr", "1e-3", "--dropout-rate", rate) == 0
+        assert load_checkpoint(out / "model.ckpt")[0].dropout_rate == float(rate)
+        assert json.loads((out / "manifest.json").read_text())["config"]["dropout_rate"] == float(rate)
+        logs[rate] = LossLog.from_csv(out / "loss_log.csv").losses
+    assert logs["0.0"] != logs["0.5"]
+
+    # a tokenizer of another vocabulary size is refused before the corpus is tokenized
+    small = tmp_path / "small.ckpt"
+    config = preset("micro", vocab_size=16)
+    save_checkpoint(small, config, init_params(config, np.random.default_rng(0)))
+
+    def never(*a, **kw):
+        raise AssertionError("tokenized the corpus for a mismatched checkpoint")
+
+    monkeypatch.setattr(cli.pt, "tokenize_corpus", never)
+    capsys.readouterr()
+    assert _continue_pretraining(ws, tmp_path / "mismatch", small) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"data error: tokenizer has {tok_mod.load_tokenizer(ws['vocab']).vocab_size} "
+                   f"entries but checkpoint {small} has 16"]
+
+
 # ---------------------------------------------------------------------------
 # finetune / eval / sweep commands
 
