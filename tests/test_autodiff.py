@@ -385,6 +385,16 @@ def test_backward_releases_the_graph():
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
+def test_walked_graph_stays_consumed_after_reset():
+    x = t64(np.ones(3))
+    loss = ad.tensor_sum(ad.mul(x, x))
+    backward(loss)
+    x.grad = None  # resetting the leaf gradient does not revive the released graph
+    with pytest.raises(ContractError):
+        backward(loss)
+    assert x.grad is None
+
+
 def test_backward_through_a_walked_subgraph_raises():
     x = t64(np.ones(3))
     shared = ad.mul(x, x)
