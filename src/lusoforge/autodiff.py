@@ -36,6 +36,7 @@ from scipy.special import erf
 
 from lusoforge.errors import ContractError, EmptyLossError, ShapeError
 
+IGNORE_INDEX = -100  # a label that `cross_entropy` leaves out of the loss
 _ALLOWED_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -543,13 +544,8 @@ def tensor_mean(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def cross_entropy(
-    logits: Tensor,
-    labels: np.ndarray,
-    ignore_index: int = -100,
-    reduction: str = "mean",
-) -> Tensor:
-    """Negative log-likelihood over rows whose label != ignore_index.
+def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
+    """Negative log-likelihood over rows whose label != IGNORE_INDEX.
 
     logits: [N, V]; labels: int array [N]. reduction "mean" divides by the
     number of contributing rows; "sum" leaves the raw total (useful when an
@@ -558,7 +554,7 @@ def cross_entropy(
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
         raise ShapeError(f"cross_entropy got logits {logits.shape} vs labels {labels.shape}")
-    active = labels != ignore_index
+    active = labels != IGNORE_INDEX
     count = int(active.sum())
     if count == 0:
         raise EmptyLossError("cross_entropy: every label is ignored; empty loss")
@@ -582,8 +578,7 @@ def cross_entropy(
             gl[rows] = probs * (g / denom)
             _accumulate(logits, gl)
 
-    out = _make(data, (logits,), backward)
-    return out
+    return _make(data, (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -176,21 +176,23 @@ def _write_manifest(man: RunManifest, out: Path, config: dict, inputs, outputs):
 # ---------------------------------------------------------------------------
 # loss-curve rendering
 
+SVG_WIDTH, SVG_HEIGHT = 640, 360
 
-def emit_loss_curve(losslog: pt.LossLog, csv_path: Path, svg_path: Path | None = None):
-    """Plot-ready CSV (step, loss, ema_loss) and an optional monochrome SVG
-    of the EMA series."""
+
+def emit_loss_curve(losslog: pt.LossLog, csv_path: Path, svg_path: Path):
+    """Plot-ready CSV (step, loss, ema_loss) and a monochrome SVG of the EMA
+    series."""
     if not losslog.entries:
         raise DataError("loss log is empty; nothing to plot")
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         f.write("step,loss,ema_loss\n")
         for e in losslog.entries:
             f.write(f"{e.step},{e.loss!r},{e.ema_loss!r}\n")
-    if svg_path is not None:
-        Path(svg_path).write_text(render_loss_svg(losslog), encoding="utf-8")
+    Path(svg_path).write_text(render_loss_svg(losslog), encoding="utf-8")
 
 
-def render_loss_svg(losslog: pt.LossLog, width: int = 640, height: int = 360) -> str:
+def render_loss_svg(losslog: pt.LossLog) -> str:
+    width, height = SVG_WIDTH, SVG_HEIGHT
     steps = [e.step for e in losslog.entries]
     emas = [e.ema_loss for e in losslog.entries]
     ml, mr, mt, mb = 55, 15, 15, 40
@@ -269,10 +271,16 @@ def _cmd_tokenizer_train(args, file_cfg: dict, man: RunManifest, out: Path):
 def _cmd_pretrain(args, file_cfg: dict, man: RunManifest, out: Path):
     fields = _resolve_fields(args, file_cfg, _PRETRAIN_SETTINGS)
     config = pt.TrainRunConfig(seed=man.seed, out_dir=str(out), **fields)
+    recorded = {**fields, "seed": man.seed}
+    if config.init_checkpoint is not None:
+        if args.preset is not None or "preset" in file_cfg:
+            raise UsageError("preset cannot be set with init_checkpoint: "
+                             "the checkpoint fixes the model")
+        recorded["preset"] = None
     docs = corpus_mod.read_jsonl(args.input)
     _, losslog = pt.train(config, docs, tok_mod.load_tokenizer(args.tokenizer))
     emit_loss_curve(losslog, out / "loss_curve.csv", out / "loss_curve.svg")
-    _write_manifest(man, out, {**fields, "seed": man.seed}, [args.input, args.tokenizer],
+    _write_manifest(man, out, recorded, [args.input, args.tokenizer, config.init_checkpoint],
                     [out / n for n in ("model.ckpt", "loss_log.csv", "loss_curve.csv",
                                        "loss_curve.svg")])
     final = losslog.entries[-1]
@@ -293,9 +301,9 @@ def _task_inputs(args, spec: ft.TaskSpec, fields: dict, seed: int):
     _check_minimums(fields)
     enc_config, arrays, _ = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    train_ex = ft.read_task_tsv(args.train, spec, "train")
+    train_ex = ft.read_task_tsv(args.train, spec)
     if args.dev:
-        dev_ex = ft.read_task_tsv(args.dev, spec, "dev")
+        dev_ex = ft.read_task_tsv(args.dev, spec)
     else:
         train_ex, dev_ex = ft.split_train_dev(train_ex, fields["dev_fraction"], seed)
     return enc_config, arrays, tokenizer, train_ex, dev_ex
@@ -336,7 +344,7 @@ def _cmd_sweep(args, file_cfg: dict, man: RunManifest, out: Path):
     spec = _task_spec(args.task)
     fields = _resolve_fields(args, file_cfg, _SWEEP_SETTINGS)
     enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, man.seed)
-    test_ex = ft.read_task_tsv(args.test, spec, "test")
+    test_ex = ft.read_task_tsv(args.test, spec)
     if fields["grid"] == "full":
         grid = ft.full_grid()
     else:
@@ -375,7 +383,7 @@ def _cmd_eval(args, file_cfg: dict, man: RunManifest, out: Path):
     _check_minimums(fields)
     enc_config, arrays, meta = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    examples = ft.read_task_tsv(args.data, spec, "test")
+    examples = ft.read_task_tsv(args.data, spec)
     model = ft.load_task_model(enc_config, arrays, meta.get("head_type", spec.head_type))
     encoded, labels = ft.encode_examples(examples, tokenizer, fields["seq_len"])
     score = ft.evaluate(model, encoded, labels, spec)
@@ -402,7 +410,11 @@ def _cmd_report(args, file_cfg: dict, man: RunManifest, out: Path):
             payload = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read metrics report {args.metrics}: {e}") from e
-        pair = (payload.get("task", "task"), payload.get("reported_test_score"))
+        if not (isinstance(payload, dict) and isinstance(payload.get("task"), str)
+                and type(payload.get("reported_test_score", "")) in (int, float, type(None))):
+            raise DataError(f"metrics report {args.metrics} must be a JSON object holding a "
+                            "task name and a numeric or null reported_test_score")
+        pair = (payload["task"], payload["reported_test_score"])
         (out / "summary.csv").write_text(ft.report_csv_summary([pair]), encoding="utf-8")
         outputs.append(out / "summary.csv")
         print(f"summary -> {out / 'summary.csv'}")

@@ -337,8 +337,8 @@ def _count_stage(docs: list[Document], kept: list[Document], name: str, reason: 
     return kept
 
 
-def run_pipeline(docs: Sequence[Document], config: PipelineConfig | None = None,
-                 tokenizer=None) -> tuple[list[Document], FilterReport]:
+def run_pipeline(docs: Sequence[Document],
+                 config: PipelineConfig | None = None) -> tuple[list[Document], FilterReport]:
     """Full curation chain. Returns (kept documents, report). Output order
     follows input order; running the chain on its own output is a no-op."""
     config = config or PipelineConfig()
@@ -360,7 +360,7 @@ def run_pipeline(docs: Sequence[Document], config: PipelineConfig | None = None,
                            lambda d: quality_reason(d, config.thresholds), report)
 
     report.kept_count = len(current)
-    report.sources = source_stats(current, tokenizer)
+    report.sources = source_stats(current)
     return current, report
 
 

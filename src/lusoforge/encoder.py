@@ -62,10 +62,6 @@ class EncoderConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise UsageError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_size // self.num_heads
-
 
 PRESETS: dict[str, EncoderConfig] = {
     "micro": EncoderConfig(
@@ -91,18 +87,8 @@ def preset(name: str, **overrides) -> EncoderConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def relative_bucket(i: int, j: int, k: int) -> int:
-    """Bucket index in [0, 2k) for query position i attending key position j."""
-    d = i - j
-    if d <= -k:
-        return 0
-    if d >= k:
-        return 2 * k - 1
-    return d + k
-
-
 def bucket_matrix(seq_len: int, k: int) -> np.ndarray:
-    """bucket_matrix[i, j] == relative_bucket(i, j, k), vectorized."""
+    """Relative-position buckets in [0, 2k): [i, j] = clip(i - j, -k, k - 1) + k."""
     d = np.arange(seq_len)[:, None] - np.arange(seq_len)[None, :]
     return (np.clip(d, -k, k - 1) + k).astype(np.int64)
 
@@ -425,19 +411,13 @@ def enhanced_mask_decode(
 class DisentangledEncoder:
     """Config + parameters + the two forward entry points, bundled."""
 
-    def __init__(self, config: EncoderConfig, params: dict[str, Tensor] | None = None,
-                 seed: int = 0):
+    def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
         self.config = config
-        if params is None:
-            params = init_params(config, np.random.default_rng(seed))
         self.params = params
 
     def forward(self, ids, segments=None, attn_mask=None, rng=None) -> list[Tensor]:
         return encoder_forward(self.params, self.config, ids, segments, attn_mask, rng)
 
-    def mlm_logits(self, ids, segments=None, attn_mask=None, rng=None, select=None) -> Tensor:
-        hidden = self.forward(ids, segments, attn_mask, rng)
+    def mlm_logits(self, ids, attn_mask=None, rng=None, select=None) -> Tensor:
+        hidden = self.forward(ids, None, attn_mask, rng)
         return enhanced_mask_decode(self.params, self.config, hidden, attn_mask, rng, select)
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())

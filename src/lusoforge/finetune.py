@@ -53,7 +53,6 @@ class TaskExample:
     sentence_a: str
     sentence_b: str
     label: float
-    split: str = "train"
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def metric_fn(spec: TaskSpec) -> Callable:
 # task file IO
 
 
-def read_task_tsv(path: str | Path, spec: TaskSpec, split: str = "train") -> list[TaskExample]:
+def read_task_tsv(path: str | Path, spec: TaskSpec) -> list[TaskExample]:
     """Tab-separated, header `sentence_a\tsentence_b\tlabel`."""
     path = Path(path)
     try:
@@ -114,7 +113,7 @@ def read_task_tsv(path: str | Path, spec: TaskSpec, split: str = "train") -> lis
             if raw not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: class label must be 0 or 1, got {raw!r}")
             label = float(int(raw))
-        out.append(TaskExample(a, b, label, split=split))
+        out.append(TaskExample(a, b, label))
     return out
 
 
@@ -140,8 +139,8 @@ def split_train_dev(examples: Sequence[TaskExample], dev_fraction: float = 0.1,
     perm = rng.permutation(n)
     n_dev = max(1, int(n * dev_fraction))
     dev_idx = set(int(i) for i in perm[:n_dev])
-    train = [replace(examples[i], split="train") for i in range(n) if i not in dev_idx]
-    dev = [replace(examples[i], split="dev") for i in range(n) if i in dev_idx]
+    train = [examples[i] for i in range(n) if i not in dev_idx]
+    dev = [examples[i] for i in range(n) if i in dev_idx]
     return train, dev
 
 
@@ -163,10 +162,6 @@ class GridPoint:
             raise UsageError(f"lr must be >= 0 and finite, got {self.lr}")
         if self.precision not in GRID_PRECISIONS:
             raise UsageError(f"precision must be one of {GRID_PRECISIONS}, got {self.precision!r}")
-
-    @property
-    def config_key(self) -> tuple:
-        return (self.dropout, self.lr, self.precision)
 
 
 def full_grid() -> list[GridPoint]:
@@ -430,25 +425,19 @@ class MetricsReport:
 
 
 def group_runs(records: Sequence[RunRecord]) -> list[ConfigRow]:
-    """12 configuration rows in grid order, aggregating seed runs."""
+    """One row per (dropout, lr, precision), aggregating its seed runs, in
+    the order each configuration first appears; records come in grid order,
+    so the full grid gives its 12 rows in grid order."""
     rows: dict[tuple, ConfigRow] = {}
-    for d in GRID_DROPOUTS:
-        for lr in GRID_LRS:
-            for p in GRID_PRECISIONS:
-                rows[(d, lr, p)] = ConfigRow(dropout=d, lr=lr, precision=p)
     for r in records:
         key = (r.dropout, r.lr, r.precision)
-        if key not in rows:
-            rows[key] = ConfigRow(dropout=r.dropout, lr=r.lr, precision=r.precision)
-        row = rows[key]
+        row = rows.setdefault(key, ConfigRow(dropout=r.dropout, lr=r.lr, precision=r.precision))
         if r.status == "ok":
             row.dev_scores.append(r.dev_score)
             row.test_scores.append(r.test_score)
         else:
             row.n_failed += 1
-    # drop rows no record touched (restricted grids)
-    touched = [row for row in rows.values() if row.dev_scores or row.n_failed]
-    return touched
+    return list(rows.values())
 
 
 def select_config(rows: Sequence[ConfigRow]) -> ConfigRow | None:

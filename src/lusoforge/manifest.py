@@ -44,13 +44,11 @@ class RunManifest:
     def add_output(self, path: str | Path):
         self.outputs.append(str(path))
 
-    def finish(self):
-        self.finished_at = _now()
-
     def write(self, path: str | Path):
-        """Atomic: write to a sibling temp file, then rename over the target."""
+        """Stamp `finished_at` unless it is set, then write atomically: to a
+        sibling temp file, renamed over the target."""
         if not self.finished_at:
-            self.finish()
+            self.finished_at = _now()
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(json.dumps(asdict(self), ensure_ascii=False, sort_keys=True, indent=2) + "\n",

@@ -66,22 +66,6 @@ class TrainRunConfig:
             raise UsageError(f"need micro_batch_size >= 1 and accumulation_steps >= 1, got "
                              f"{self.micro_batch_size}/{self.accumulation_steps}")
 
-    @property
-    def effective_batch(self) -> int:
-        return self.micro_batch_size * self.accumulation_steps
-
-
-# Reference-scale runs, kept as documentation of the target regime; the
-# xlarge preset they name is constructible but far beyond desk-scale compute.
-REFERENCE_RUNS: dict[str, TrainRunConfig] = {
-    "ptbr": TrainRunConfig(seed=42, preset="xlarge", seq_len=128, micro_batch_size=112,
-                           accumulation_steps=8, peak_lr=1e-5, warmup_steps=10_000,
-                           total_steps=200_000, epochs=50, mask_rate=0.15),
-    "ptpt": TrainRunConfig(seed=42, preset="xlarge", seq_len=128, micro_batch_size=104,
-                           accumulation_steps=8, peak_lr=1e-5, warmup_steps=10_000,
-                           total_steps=245_000, epochs=25, mask_rate=0.15),
-}
-
 
 # ---------------------------------------------------------------------------
 # masking
@@ -93,12 +77,10 @@ def apply_mlm_masking(
     mask_rate: float,
     rng: np.random.Generator,
     vocab_size: int,
-    mask_id: int = MASK,
-    ignore_index: int = -100,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Select non-special positions at mask_rate; replace 80% with the mask
     id, 10% with a uniform random non-special token, 10% left unchanged.
-    Labels hold original ids at selected positions and ignore_index elsewhere.
+    Labels hold original ids at selected positions and IGNORE_INDEX elsewhere.
 
     Three fixed-shape draws per call, so the RNG stream advances identically
     regardless of token content.
@@ -112,10 +94,10 @@ def apply_mlm_masking(
     randoms = rng.integers(n_specials, vocab_size, size=ids.shape)
 
     out = ids.copy()
-    out[select & (action < 0.8)] = mask_id
+    out[select & (action < 0.8)] = MASK
     pick_random = select & (action >= 0.8) & (action < 0.9)
     out[pick_random] = randoms[pick_random]
-    labels = np.where(select, ids, ignore_index)
+    labels = np.where(select, ids, ad.IGNORE_INDEX)
     return out, labels
 
 
@@ -148,9 +130,8 @@ def lr_at(step: int, warmup_steps: int, total_steps: int, peak_lr: float) -> flo
 @dataclass
 class Batch:
     ids: np.ndarray        # [B, W] int64, PAD-padded
-    labels: np.ndarray     # [B, W] int64, ignore_index at unselected/pad
+    labels: np.ndarray     # [B, W] int64, IGNORE_INDEX at unselected/pad
     attn_mask: np.ndarray  # [B, W] float32, 1 at real positions
-    indices: list[int]     # original sequence indices (for debugging)
 
 
 def make_batches(
@@ -172,7 +153,7 @@ def make_batches(
         seqs = [list(sequences[i])[:seq_len] for i in idxs]
         width = max(len(s) for s in seqs)
         ids = np.full((len(seqs), width), PAD, dtype=np.int64)
-        labs = np.full((len(seqs), width), -100, dtype=np.int64)
+        labs = np.full((len(seqs), width), ad.IGNORE_INDEX, dtype=np.int64)
         mask = np.zeros((len(seqs), width), dtype=np.float32)
         for r, s in enumerate(seqs):
             ids[r, : len(s)] = s
@@ -180,7 +161,7 @@ def make_batches(
             if labels is not None:
                 lab = list(labels[idxs[r]])[:seq_len]
                 labs[r, : len(lab)] = lab
-        batches.append(Batch(ids=ids, labels=labs, attn_mask=mask, indices=idxs))
+        batches.append(Batch(ids=ids, labels=labs, attn_mask=mask))
     return batches
 
 
@@ -214,22 +195,6 @@ class LossLog:
     def __len__(self):
         return len(self.entries)
 
-    @property
-    def steps(self) -> list[int]:
-        return [e.step for e in self.entries]
-
-    @property
-    def lrs(self) -> list[float]:
-        return [e.lr for e in self.entries]
-
-    @property
-    def losses(self) -> list[float]:
-        return [e.loss for e in self.entries]
-
-    @property
-    def ema_losses(self) -> list[float]:
-        return [e.ema_loss for e in self.entries]
-
     def to_csv(self, path: str | Path):
         with open(path, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f)
@@ -239,17 +204,23 @@ class LossLog:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "LossLog":
+        """The log `to_csv` wrote; an unreadable row is a DataError naming file:line."""
         log = cls()
         try:
             handle = open(path, "r", encoding="utf-8", newline="")
         except OSError as e:
             raise DataError(f"cannot read loss log {path}: {e}") from e
         with handle as f:
-            for row in csv.DictReader(f):
-                log.entries.append(LossLogEntry(
-                    step=int(row["step"]), epoch=int(row["epoch"]), lr=float(row["lr"]),
-                    loss=float(row["loss"]), ema_loss=float(row["ema_loss"]),
-                ))
+            rows = csv.DictReader(f)
+            try:
+                for row in rows:
+                    log.entries.append(LossLogEntry(
+                        step=int(row["step"]), epoch=int(row["epoch"]), lr=float(row["lr"]),
+                        loss=float(row["loss"]), ema_loss=float(row["ema_loss"]),
+                    ))
+            except (KeyError, TypeError, ValueError, csv.Error) as e:
+                raise DataError(f"{path}:{rows.line_num}: not a loss log row "
+                                f"({type(e).__name__}: {e})") from e
         return log
 
 
@@ -309,8 +280,9 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
     aborts with the most recent periodic checkpoint left on disk.
 
     With init_checkpoint, training starts from that checkpoint's config and
-    arrays; a given dropout_rate replaces the stored one, and a tokenizer of
-    another vocabulary size is refused before the corpus is tokenized.
+    arrays; a given dropout_rate replaces the stored one. A tokenizer of
+    another vocabulary size, or a seq_len above the checkpoint's
+    max_seq_len, is refused before the corpus is tokenized.
     """
     root = np.random.SeedSequence(config.seed)
     init_ss, mask_ss, shuffle_ss, dropout_ss = root.spawn(4)
@@ -319,6 +291,9 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
         if enc_config.vocab_size != tokenizer.vocab_size:
             raise DataError(f"tokenizer has {tokenizer.vocab_size} entries but checkpoint "
                             f"{config.init_checkpoint} has {enc_config.vocab_size}")
+        if config.seq_len > enc_config.max_seq_len:
+            raise DataError(f"seq_len {config.seq_len} exceeds max_seq_len "
+                            f"{enc_config.max_seq_len} of checkpoint {config.init_checkpoint}")
         if config.dropout_rate is not None:
             enc_config = replace(enc_config, dropout_rate=config.dropout_rate)
         params = params_from_arrays(arrays)  # every layer kept as stored
@@ -357,13 +332,13 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
         window = config.accumulation_steps
         for w_start in range(0, len(batches), window):
             micro = batches[w_start : w_start + window]
-            total_count = sum(int((b.labels != -100).sum()) for b in micro)
+            total_count = sum(int((b.labels != ad.IGNORE_INDEX).sum()) for b in micro)
             if total_count == 0:
                 continue
             opt.zero_grad()
             window_nll = 0.0
             for b in micro:
-                select = b.labels != -100
+                select = b.labels != ad.IGNORE_INDEX
                 if not select.any():
                     continue  # all-ignored micro-batch: zero loss, zero gradient
                 logits = model.mlm_logits(b.ids, attn_mask=b.attn_mask, rng=train_rng,

@@ -3,8 +3,9 @@
 These are the straightforward versions of algorithms that `src/` runs in a
 faster, exact form: greedy BPE training that recounts every pair of every
 word before each merge, the near-duplicate scan that compares each document
-with every kept one, and the masked-token decoder run over every position.
-Tests require equal results from both. A plain-numpy enhanced mask decoder
+with every kept one, the masked-token decoder run over every position, and
+the relative-position bucket of one (query, key) pair. Tests require equal
+results from both. A plain-numpy enhanced mask decoder
 in the form of He et al. (2021, §3.2) checks the decoder for any layer count.
 The kernels' first forms are kept too: the broadcast `take_along_axis`
 gather and its `np.add.at` scatter, the embedding backward that scatters
@@ -94,6 +95,16 @@ def near_dup_reference(docs, n: int, t: float) -> list:
             kept.append(d)
             kept_shingles.append(sh)
     return kept
+
+
+def relative_bucket(i: int, j: int, k: int) -> int:
+    """Bucket index in [0, 2k) for query position i attending key position j."""
+    d = i - j
+    if d <= -k:
+        return 0
+    if d >= k:
+        return 2 * k - 1
+    return d + k
 
 
 def mlm_logits_reference(params, config, ids, segments=None, attn_mask=None, rng=None):

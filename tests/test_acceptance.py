@@ -15,6 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import make_documents
+from gradcheck import check_gradients
+from oracles import relative_bucket
 
 import lusoforge.cli as cli
 from lusoforge import autodiff as ad
@@ -27,10 +29,8 @@ from lusoforge.encoder import (
     disentangled_scores,
     init_params,
     preset,
-    relative_bucket,
 )
 from lusoforge.finetune import TASKS, full_grid, run_grid, synthetic_task_examples, write_task_tsv
-from lusoforge.gradcheck import check_gradients
 from lusoforge.metrics import accuracy, f1_binary, pearson
 from lusoforge.pretrain import TrainRunConfig, apply_mlm_masking, lr_at, train
 from lusoforge.tokenizer import CLS, MASK, PAD, SEP, UNK, train_tokenizer

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from gradcheck import check_gradients
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lusoforge import autodiff as ad
 from lusoforge.autodiff import Tensor, backward
 from lusoforge.errors import ContractError, EmptyLossError, ShapeError
-from lusoforge.gradcheck import check_gradients
 
 
 def t64(arr, requires_grad=True):

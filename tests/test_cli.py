@@ -553,6 +553,11 @@ def test_init_checkpoint_continues_pretraining(ws, tmp_path, monkeypatch, capsys
     assert arrays.keys() == init_arrays.keys()
     for name, arr in init_arrays.items():
         np.testing.assert_array_equal(arrays[name], arr, err_msg=name)
+    # the manifest names no preset, since the checkpoint fixed the model, and digests it
+    man = json.loads((tmp_path / "still" / "manifest.json").read_text())
+    assert man["config"]["preset"] is None
+    assert man["input_digests"][str(init)] == hashlib.sha256(init.read_bytes()).hexdigest()
+    assert len(man["input_digests"]) == 3  # corpus, vocabulary and init checkpoint
 
     # a given dropout rate overrides the checkpoint's, in training and in every record
     logs = {}
@@ -561,7 +566,7 @@ def test_init_checkpoint_continues_pretraining(ws, tmp_path, monkeypatch, capsys
         assert _continue_pretraining(ws, out, init, "--peak-lr", "1e-3", "--dropout-rate", rate) == 0
         assert load_checkpoint(out / "model.ckpt")[0].dropout_rate == float(rate)
         assert json.loads((out / "manifest.json").read_text())["config"]["dropout_rate"] == float(rate)
-        logs[rate] = LossLog.from_csv(out / "loss_log.csv").losses
+        logs[rate] = [e.loss for e in LossLog.from_csv(out / "loss_log.csv").entries]
     assert logs["0.0"] != logs["0.5"]
 
     # a tokenizer of another vocabulary size is refused before the corpus is tokenized
@@ -783,6 +788,63 @@ def test_report_from_metrics(tmp_path):
     assert (out / "summary.csv").read_text() == "model,rte\nencoder,\n"
 
 
+def _no_work(monkeypatch, *names):
+    """Make each `module.function` of `cli` fail the test if it is called."""
+    def never(*a, **kw):
+        raise AssertionError("ran work that a failed up-front check should have prevented")
+
+    for name in names:
+        module, function = name.split(".")
+        monkeypatch.setattr(getattr(cli, module), function, never)
+
+
+@pytest.mark.parametrize("where", ["flag", "config file"])
+def test_init_checkpoint_refuses_a_preset(ws, tmp_path, monkeypatch, capsys, where):
+    _no_work(monkeypatch, "corpus_mod.read_jsonl", "pt.train")
+    extra = ["--preset", "micro"]
+    if where == "config file":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "micro"}), encoding="utf-8")
+        extra = ["--config", str(cfg)]
+    capsys.readouterr()
+    assert _continue_pretraining(ws, tmp_path / "out", ws["pre"] / "model.ckpt", *extra) == 1
+    err = capsys.readouterr().err
+    assert "usage error: preset cannot be set with init_checkpoint" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_init_checkpoint_refuses_seq_len_above_its_max(ws, tmp_path, monkeypatch, capsys):
+    _no_work(monkeypatch, "pt.tokenize_corpus")
+    init = ws["pre"] / "model.ckpt"  # micro: max_seq_len 64
+    capsys.readouterr()
+    assert _continue_pretraining(ws, tmp_path / "long", init, "--seq-len", "65") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [line for line in err if not line.startswith("lusoforge: config")] == [
+        f"data error: seq_len 65 exceeds max_seq_len 64 of checkpoint {init}"]
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--loss-log", "sentence_a\tsentence_b\tlabel\nx\ty\t1\n"),
+    ("--loss-log", "step,epoch,lr,loss,ema_loss\n1,0,fast,4.0,4.0\n"),
+    ("--loss-log", "step,epoch,lr,loss,ema_loss\n1,0\n"),
+    ("--metrics", "[1, 2]"),
+    ("--metrics", '{"a": 1}'),
+    ("--metrics", '{"task": "rte"}'),
+    ("--metrics", '{"task": "rte", "reported_test_score": "high"}'),
+], ids=["tsv", "non-numeric-lr", "short-row", "array", "no-fields", "no-score", "text-score"])
+def test_report_rejects_a_malformed_input_in_one_line(tmp_path, capsys, flag, content):
+    path = tmp_path / "input"
+    path.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["report", flag, str(path), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:"), lines
+    if flag == "--loss-log":
+        assert lines[0].startswith(f"data error: {path}:2: ")
+
+
 def test_report_requires_some_input(tmp_path, capsys):
     assert cli.main(["report", "--out", str(tmp_path)]) == 1
     assert "needs" in capsys.readouterr().err
@@ -799,7 +861,7 @@ def make_log(rows):
 def test_emit_loss_curve_csv(tmp_path):
     log = make_log([(1, 4.0, 4.0), (2, 3.0, 3.95), (3, 2.0, 3.8525)])
     csv_path = tmp_path / "curve.csv"
-    cli.emit_loss_curve(log, csv_path)
+    cli.emit_loss_curve(log, csv_path, tmp_path / "curve.svg")
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "step,loss,ema_loss"
     assert lines[1] == "1,4.0,4.0"
@@ -810,7 +872,7 @@ def test_emit_loss_curve_csv(tmp_path):
 
 def test_emit_loss_curve_rejects_empty(tmp_path):
     with pytest.raises(DataError, match="empty"):
-        cli.emit_loss_curve(LossLog(), tmp_path / "curve.csv")
+        cli.emit_loss_curve(LossLog(), tmp_path / "curve.csv", tmp_path / "curve.svg")
 
 
 def test_render_loss_svg_monotone():

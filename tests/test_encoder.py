@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from gradcheck import check_gradients
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import emd_paper_reference, mlm_logits_reference
+from oracles import emd_paper_reference, mlm_logits_reference, relative_bucket
 
 from lusoforge import autodiff as ad
 from lusoforge.autodiff import Tensor
@@ -27,11 +28,9 @@ from lusoforge.encoder import (
     enhanced_mask_decode,
     init_params,
     preset,
-    relative_bucket,
     standard_attention,
 )
 from lusoforge.errors import EmptyLossError, ShapeError
-from lusoforge.gradcheck import check_gradients
 
 
 def small_config(**overrides) -> EncoderConfig:
@@ -148,7 +147,7 @@ def test_position_path_takes_no_bias():
     P = params["relpos.table"].data
     wk = params["layer0.attn.wk"].data
     bq = params["layer0.attn.bq"].data
-    nh, dh = cfg.num_heads, cfg.head_dim
+    nh, dh = cfg.num_heads, cfg.hidden_size // cfg.num_heads
     Kr = (P @ wk).reshape(2 * cfg.relative_window, nh, dh).transpose(1, 0, 2)
     for i in range(4):
         for j in range(4):
@@ -173,7 +172,7 @@ def test_zeroed_position_table_reduces_to_standard_attention():
 
     # oracle: plain softmax(QK^T / sqrt(3 dh)) V with loops
     b, s, h = H.data.shape
-    nh, dh = cfg.num_heads, cfg.head_dim
+    nh, dh = cfg.num_heads, cfg.hidden_size // cfg.num_heads
     Q = (H.data @ params["layer0.attn.wq"].data + params["layer0.attn.bq"].data)
     K = (H.data @ params["layer0.attn.wk"].data + params["layer0.attn.bk"].data)
     V = (H.data @ params["layer0.attn.wv"].data + params["layer0.attn.bv"].data)
@@ -600,10 +599,12 @@ def test_config_validation():
 
 def test_num_parameters_counts_everything():
     cfg = small_config()
-    enc = DisentangledEncoder(cfg, params64(cfg, 27))
-    total = sum(p.data.size for p in enc.params.values())
-    assert enc.num_parameters() == total
-    assert total > 0
+    h, f = cfg.hidden_size, cfg.ffn_size
+    block = 4 * h * h + 4 * h + 2 * h + h * f + f + f * h + h + 2 * h
+    want = (cfg.vocab_size * h + cfg.num_segments * h + 2 * h + 2 * cfg.relative_window * h
+            + cfg.max_seq_len * h + cfg.conv_kernel_size * h * h + h
+            + (cfg.num_layers + cfg.emd_layers) * block)
+    assert sum(p.data.size for p in params64(cfg, 27).values()) == want
 
 
 def test_init_params_deterministic_per_seed():

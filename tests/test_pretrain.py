@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lusoforge.checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
-from lusoforge.encoder import DisentangledEncoder, preset
+from lusoforge.encoder import DisentangledEncoder, init_params, preset
 from lusoforge.errors import DataError, NumericalError
 from lusoforge.pretrain import (
     EMA_FACTOR,
@@ -154,6 +154,11 @@ def seqs_of_lengths(*lengths):
     return [list(range(5, 5 + n)) for n in lengths]
 
 
+def original_indices(batch):
+    """Each row's index into seqs_of_lengths(4, 5, 6, ...), read from its length."""
+    return batch.attn_mask.sum(axis=1).astype(int) - 4
+
+
 def test_dynamic_padding_to_longest_in_batch():
     batches = make_batches(seqs_of_lengths(7, 12), micro_batch_size=2, seq_len=128, seed=0)
     assert len(batches) == 1
@@ -176,14 +181,14 @@ def test_same_seed_same_batches():
     assert len(a) == len(b)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.ids, y.ids)
-        np.testing.assert_array_equal(x.indices, y.indices)
+        np.testing.assert_array_equal(original_indices(x), original_indices(y))
 
 
 def test_different_seed_usually_reshuffles():
     seqs = seqs_of_lengths(*(range(4, 24)))
     a = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=11)
     b = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=12)
-    assert any(not np.array_equal(x.indices, y.indices) for x, y in zip(a, b))
+    assert any(not np.array_equal(original_indices(x), original_indices(y)) for x, y in zip(a, b))
 
 
 def test_empty_corpus_is_data_error():
@@ -194,7 +199,7 @@ def test_empty_corpus_is_data_error():
 def test_batches_cover_every_sequence_once():
     seqs = seqs_of_lengths(*(range(4, 24)))
     batches = make_batches(seqs, micro_batch_size=3, seq_len=32, seed=5)
-    seen = np.concatenate([b.indices for b in batches])
+    seen = np.concatenate([original_indices(b) for b in batches])
     assert sorted(seen.tolist()) == list(range(len(seqs)))
 
 
@@ -203,7 +208,7 @@ def test_batches_cover_every_sequence_once():
 def test_batch_partition_property(mbs, seed):
     seqs = seqs_of_lengths(*(range(4, 17)))
     batches = make_batches(seqs, micro_batch_size=mbs, seq_len=32, seed=seed)
-    seen = np.concatenate([b.indices for b in batches])
+    seen = np.concatenate([original_indices(b) for b in batches])
     assert sorted(seen.tolist()) == list(range(len(seqs)))
     for b in batches:
         assert b.ids.shape[0] <= mbs
@@ -219,7 +224,7 @@ def test_ema_recurrence_exact():
     ema = [losses[0]]
     for l in losses[1:]:
         ema.append(EMA_FACTOR * ema[-1] + (1 - EMA_FACTOR) * l)
-    np.testing.assert_allclose(log.ema_losses, ema, rtol=0, atol=0)
+    np.testing.assert_allclose([e.ema_loss for e in log.entries], ema, rtol=0, atol=0)
 
 
 def test_loss_log_csv_round_trip(tmp_path):
@@ -231,9 +236,7 @@ def test_loss_log_csv_round_trip(tmp_path):
     text = p.read_text()
     assert text.splitlines()[0] == "step,epoch,lr,loss,ema_loss"
     back = LossLog.from_csv(p)
-    np.testing.assert_array_equal(back.steps, log.steps)
-    np.testing.assert_allclose(back.losses, log.losses, rtol=0)
-    np.testing.assert_allclose(back.ema_losses, log.ema_losses, rtol=0)
+    assert back.entries == log.entries
 
 
 def test_loss_log_missing_file_is_data_error(tmp_path):
@@ -247,10 +250,11 @@ def test_ema_recurrence_property(losses):
     log = LossLog()
     for i, l in enumerate(losses):
         log.append(step=i + 1, epoch=0, lr=0.0, loss=l)
-    assert log.ema_losses[0] == losses[0]
+    emas = [e.ema_loss for e in log.entries]
+    assert emas[0] == losses[0]
     for t in range(1, len(losses)):
-        want = EMA_FACTOR * log.ema_losses[t - 1] + (1 - EMA_FACTOR) * losses[t]
-        assert log.ema_losses[t] == pytest.approx(want, rel=1e-12)
+        want = EMA_FACTOR * emas[t - 1] + (1 - EMA_FACTOR) * losses[t]
+        assert emas[t] == pytest.approx(want, rel=1e-12)
 
 
 # ----------------------------------------------------------------- config
@@ -260,25 +264,12 @@ def test_train_config_validation():
         TrainRunConfig(total_steps=10, warmup_steps=20)
     with pytest.raises(ValueError):
         TrainRunConfig(mask_rate=1.5)
-    cfg = TrainRunConfig(micro_batch_size=8, accumulation_steps=4)
-    assert cfg.effective_batch == 32
-
-
-def test_reference_runs_describe_paper_scale():
-    from lusoforge.pretrain import REFERENCE_RUNS
-
-    ptbr = REFERENCE_RUNS["ptbr"]
-    assert ptbr.effective_batch == 896
-    assert ptbr.total_steps == 200_000
-    assert ptbr.warmup_steps == 10_000
-    ptpt = REFERENCE_RUNS["ptpt"]
-    assert ptpt.effective_batch == 832
 
 
 # ----------------------------------------------------------------- checkpoint
 
 def test_checkpoint_round_trip_bitwise(tmp_path, micro_config):
-    enc = DisentangledEncoder(micro_config, seed=3)
+    enc = DisentangledEncoder(micro_config, init_params(micro_config, np.random.default_rng(3)))
     ids = np.array([[5, 6, 7, 8, 9]])
     before = enc.mlm_logits(ids).data.copy()
     path = tmp_path / "model.ckpt"
@@ -292,7 +283,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path, micro_config):
 
 
 def test_checkpoint_file_is_byte_deterministic(tmp_path, micro_config):
-    enc = DisentangledEncoder(micro_config, seed=3)
+    enc = DisentangledEncoder(micro_config, init_params(micro_config, np.random.default_rng(3)))
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(p1, micro_config, enc.params)
     save_checkpoint(p2, micro_config, enc.params)
@@ -300,7 +291,7 @@ def test_checkpoint_file_is_byte_deterministic(tmp_path, micro_config):
 
 
 def test_checkpoint_truncation_detected(tmp_path, micro_config):
-    enc = DisentangledEncoder(micro_config, seed=3)
+    enc = DisentangledEncoder(micro_config, init_params(micro_config, np.random.default_rng(3)))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, micro_config, enc.params)
     raw = path.read_bytes()
@@ -310,7 +301,7 @@ def test_checkpoint_truncation_detected(tmp_path, micro_config):
 
 
 def test_checkpoint_header_corruption_detected(tmp_path, micro_config):
-    enc = DisentangledEncoder(micro_config, seed=3)
+    enc = DisentangledEncoder(micro_config, init_params(micro_config, np.random.default_rng(3)))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, micro_config, enc.params)
     raw = bytearray(path.read_bytes())
@@ -322,7 +313,7 @@ def test_checkpoint_header_corruption_detected(tmp_path, micro_config):
 
 def test_checkpoint_with_out_of_range_config_is_data_error(tmp_path, micro_config):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, micro_config, DisentangledEncoder(micro_config, seed=3).params)
+    save_checkpoint(path, micro_config, DisentangledEncoder(micro_config, init_params(micro_config, np.random.default_rng(3))).params)
     raw = path.read_bytes()
     (n,) = struct.unpack("<Q", raw[:8])
     header = json.loads(raw[8 : 8 + n])
@@ -363,13 +354,13 @@ def toy_tokenizer_module(toy_sentences_module):
 def test_initial_loss_near_uniform_baseline(trained_micro, toy_tokenizer_module):
     _, log, _ = trained_micro
     v = toy_tokenizer_module.vocab_size
-    assert log.losses[0] == pytest.approx(np.log(v), rel=0.10)
+    assert log.entries[0].loss == pytest.approx(np.log(v), rel=0.10)
 
 
 def test_loss_decreases_over_short_run(trained_micro):
     _, log, _ = trained_micro
-    assert log.losses[-1] < log.losses[0]
-    assert log.steps == list(range(1, 61))
+    assert log.entries[-1].loss < log.entries[0].loss
+    assert [e.step for e in log.entries] == list(range(1, 61))
 
 
 def test_training_writes_final_artifacts(trained_micro):
@@ -380,8 +371,8 @@ def test_training_writes_final_artifacts(trained_micro):
 
 def test_lr_column_follows_schedule(trained_micro):
     _, log, _ = trained_micro
-    for step, lr in zip(log.steps, log.lrs):
-        assert lr == lr_at(step, 10, 60, 1e-3)
+    for e in log.entries:
+        assert e.lr == lr_at(e.step, 10, 60, 1e-3)
 
 
 def test_train_rejects_empty_corpus(toy_tokenizer_module):
@@ -425,7 +416,7 @@ def test_training_is_seed_deterministic(toy_sentences_module, toy_tokenizer_modu
                    toy_sentences_module, toy_tokenizer_module)
     m2, l2 = train(TrainRunConfig(out_dir=str(tmp_path / "b"), **cfg),
                    toy_sentences_module, toy_tokenizer_module)
-    np.testing.assert_array_equal(l1.losses, l2.losses)
+    assert [e.loss for e in l1.entries] == [e.loss for e in l2.entries]
     for k in m1.params:
         np.testing.assert_array_equal(m1.params[k].data, m2.params[k].data)
     assert (tmp_path / "a" / "model.ckpt").read_bytes() == \
