@@ -7,11 +7,11 @@ the selected configuration's test mean. Test scores are recorded for every
 run but never consulted during selection.
 
 The runs are independent and each is seeded by its own grid point, so
-`run_grid` runs them in forked worker processes, one per usable CPU, and
-orders the records by grid index: the report is the same at any worker
-count. Each worker pins BLAS to one thread, and a worker's death fails only
-the grid point that caused it. With one usable CPU the runs go one after
-another in the calling process.
+`run_grid` runs them in forked worker processes (`workers.fork_pool`), one
+per usable CPU, and orders the records by grid index: the report is the
+same at any worker count. Each worker pins BLAS to one thread, and a
+worker's death fails only the grid point that caused it. With one usable
+CPU the runs go one after another in the calling process.
 
 Task examples come from TSV files (`read_task_tsv`) and are tokenized by
 `encode_examples`. One scorer, `evaluate`, turns predictions into the task
@@ -46,6 +46,7 @@ GRID_DROPOUTS = (0.0, 0.1)
 GRID_LRS = (1e-6, 5e-6, 1e-5)
 GRID_PRECISIONS = ("fp32", "fp16")
 GRID_SEEDS = (41, 42, 43)
+PREDICT_BATCH_SIZE = 32
 
 
 @dataclass
@@ -254,13 +255,14 @@ def _pad_batch(encoded: Sequence[tok_mod.TokenSequence]):
     return ids, segs, mask
 
 
-def predict(model: TaskModel, encoded, batch_size: int = 32,
+def predict(model: TaskModel, encoded,
             label_range: tuple[float, float] | None = None) -> np.ndarray:
-    """Deterministic (dropout-free) predictions: class ids or clipped values.
-    The forward runs under `no_grad`, so it builds no graph."""
+    """Deterministic (dropout-free) predictions: class ids or clipped values,
+    PREDICT_BATCH_SIZE examples per forward. The forward runs under
+    `no_grad`, so it builds no graph."""
     preds: list[np.ndarray] = []
-    for start in range(0, len(encoded), batch_size):
-        ids, segs, mask = _pad_batch(encoded[start : start + batch_size])
+    for start in range(0, len(encoded), PREDICT_BATCH_SIZE):
+        ids, segs, mask = _pad_batch(encoded[start : start + PREDICT_BATCH_SIZE])
         with ad.no_grad():
             out = model.forward(ids, segs, mask, rng=None)
         if model.head_type == "regression":
@@ -452,43 +454,6 @@ def select_config(rows: Sequence[ConfigRow]) -> ConfigRow | None:
     return best
 
 
-# The `one_run` of the grid a pool is running. `run_grid` sets it just before
-# the pool forks its workers and clears it once the pool has joined them, so
-# workers inherit the encoder arrays and task data instead of unpickling them.
-_grid_job: Callable[[int], tuple[RunRecord, float]] | None = None
-
-
-def _run_grid_index(index: int) -> tuple[RunRecord, float]:
-    return _grid_job(index)
-
-
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _one_blas_thread():
-    """Pool initializer: give this worker one OpenBLAS thread, so the workers
-    do not oversubscribe the cores they share. It calls the thread setter of
-    each OpenBLAS the process has loaded (numpy's bundled
-    `libscipy_openblas64_*.so`); with none found it changes nothing."""
-    import ctypes  # here, not at module top: only grid workers need it
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            # the path is the last field of a mapping line
-            paths = sorted({line.split(None, 5)[-1].strip() for line in f if "openblas" in line})
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)  # already loaded, so this returns the same handle
-        except OSError:
-            continue
-        setter = next((getattr(lib, n) for n in _BLAS_THREAD_SETTERS if hasattr(lib, n)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-
-
 def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: TaskSpec,
              tokenizer, train_examples, dev_examples, test_examples,
              grid: Sequence[GridPoint] | None = None, seq_len: int = 128,
@@ -543,43 +508,31 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
         for index in range(len(grid)):
             finished(*one_run(index))
     else:
-        # imported here so that commands which run no grid do not load them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
+        from lusoforge.workers import BrokenProcessPool, as_completed, fork_pool
 
-        def pool(n):
-            return ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_one_blas_thread)
-
-        global _grid_job
-        _grid_job = one_run
-        try:
-            unfinished = []
-            with pool(workers) as shared:
-                futures = {shared.submit(_run_grid_index, i): i for i in range(len(grid))}
-                for future in as_completed(futures):
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        unfinished.append(futures[future])
-                        continue
-                    finished(*result)
-            # a dead worker broke the shared pool: rerun each point it left
-            # unfinished alone, so that only the point that kills its own
-            # worker is recorded as failed
-            for index in sorted(unfinished):
-                with pool(1) as alone:
-                    try:
-                        result = alone.submit(_run_grid_index, index).result()
-                    except BrokenProcessPool as e:
-                        record = _blank_record(index, grid[index])
-                        record.status = "failed"
-                        record.error = f"BrokenProcessPool: {e}"
-                        result = record, None
+        unfinished = []
+        with fork_pool(workers, one_run) as submit:
+            futures = {submit(i): i for i in range(len(grid))}
+            for future in as_completed(futures):
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    unfinished.append(futures[future])
+                    continue
                 finished(*result)
-        finally:
-            _grid_job = None
+        # a dead worker broke the shared pool: rerun each point it left
+        # unfinished alone, so that only the point that kills its own
+        # worker is recorded as failed
+        for index in sorted(unfinished):
+            with fork_pool(1, one_run) as submit:
+                try:
+                    result = submit(index).result()
+                except BrokenProcessPool as e:
+                    record = _blank_record(index, grid[index])
+                    record.status = "failed"
+                    record.error = f"BrokenProcessPool: {e}"
+                    result = record, None
+            finished(*result)
 
     rows = group_runs(records)
     best = select_config(rows)

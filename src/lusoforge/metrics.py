@@ -38,15 +38,15 @@ def accuracy(pred: Sequence[int], gold: Sequence[int]) -> float:
     return sum(1 for p, g in zip(pred, gold) if p == g) / len(pred)
 
 
-def f1_binary(pred: Sequence[int], gold: Sequence[int], positive_class: int = 1) -> float:
-    """F1 = 2PR/(P+R), with the usual convention F1 = 0 when P+R = 0."""
+def f1_binary(pred: Sequence[int], gold: Sequence[int]) -> float:
+    """F1 of class 1: 2PR/(P+R), with the usual convention F1 = 0 when P+R = 0."""
     if len(pred) != len(gold):
         raise DataError(f"f1: length mismatch {len(pred)} vs {len(gold)}")
     if not pred:
         raise DataError("f1: empty input")
-    tp = sum(1 for p, g in zip(pred, gold) if p == positive_class and g == positive_class)
-    fp = sum(1 for p, g in zip(pred, gold) if p == positive_class and g != positive_class)
-    fn = sum(1 for p, g in zip(pred, gold) if p != positive_class and g == positive_class)
+    tp = sum(1 for p, g in zip(pred, gold) if p == 1 and g == 1)
+    fp = sum(1 for p, g in zip(pred, gold) if p == 1 and g != 1)
+    fn = sum(1 for p, g in zip(pred, gold) if p != 1 and g == 1)
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)

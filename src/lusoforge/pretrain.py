@@ -6,16 +6,29 @@ keyed per (epoch, original sequence index) rather than per batch, so the
 realized mask pattern is identical whether a window of data arrives as one
 large batch or as several accumulated micro-batches. That is what makes the
 accumulation-equivalence property exact rather than approximate.
+
+The micro-batches of an optimizer step are data-parallel: `train` computes
+them in forked worker processes (`workers.fork_pool`), one per usable CPU up
+to accumulation_steps, over parameters that live in shared memory. Each
+micro-batch's gradient lands in its own shared slab, and the parent sums the
+slabs in micro-batch order before it runs Adam. Dropout is keyed per
+(optimizer step, micro-batch index), as masking is per (epoch, sequence).
+So neither the masks nor the sum order depend on the worker count, and the
+outputs are the same bytes with one CPU, where the same per-micro-batch
+function runs inline, as with many.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -139,10 +152,11 @@ def make_batches(
     micro_batch_size: int,
     seq_len: int,
     seed: int,
-    labels: Sequence[Sequence[int]] | None = None,
+    labels: Sequence[Sequence[int]],
 ) -> list[Batch]:
     """Shuffle deterministically, then pad each batch to its own longest
-    sequence (never beyond seq_len). A trailing short batch is kept."""
+    sequence (never beyond seq_len); labels[i] belongs to sequences[i]. A
+    trailing short batch is kept."""
     if not sequences:
         raise DataError("make_batches: empty corpus")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -158,9 +172,8 @@ def make_batches(
         for r, s in enumerate(seqs):
             ids[r, : len(s)] = s
             mask[r, : len(s)] = 1.0
-            if labels is not None:
-                lab = list(labels[idxs[r]])[:seq_len]
-                labs[r, : len(lab)] = lab
+            lab = list(labels[idxs[r]])[:seq_len]
+            labs[r, : len(lab)] = lab
         batches.append(Batch(ids=ids, labels=labs, attn_mask=mask))
     return batches
 
@@ -271,6 +284,72 @@ def _mask_epoch(
     return masked, labels
 
 
+def _regions(params: dict[str, ad.Tensor], count: int, shared: bool) -> list[dict[str, np.ndarray]]:
+    """`count` regions of one allocation, each holding an array shaped like
+    every parameter (64-byte aligned), as one name -> array dict per region.
+    A shared allocation is seen alike by processes forked after it."""
+    offsets, size = {}, 0
+    for name, p in params.items():
+        offsets[name] = size
+        size += -(-p.data.nbytes // 64) * 64
+    if shared:
+        from lusoforge.workers import shared_bytes
+
+        memory = shared_bytes(count * size)
+    else:
+        memory = np.empty(count * size, dtype=np.uint8)
+    return [{name: memory[r * size + offsets[name] : r * size + offsets[name] + p.data.nbytes]
+             .view(p.data.dtype).reshape(p.data.shape) for name, p in params.items()}
+            for r in range(count)]
+
+
+def _micro_batch_gradient(model: DisentangledEncoder, slabs: list[dict[str, np.ndarray]],
+                          dropout_entropy: int | None, step: int, k: int, batch: Batch,
+                          total_count: int) -> tuple[float, list[str]]:
+    """Write the gradient of micro-batch `k` of optimizer step `step`, divided
+    by the window's `total_count` of predicted tokens, into `slabs[k]`.
+    Return the micro-batch's summed NLL and the names of the parameters it
+    reached. Dropout draws from a generator keyed by (step, k), so the masks
+    do not depend on the process that runs the micro-batch."""
+    rng = None
+    if dropout_entropy is not None:
+        rng = np.random.default_rng(np.random.SeedSequence([dropout_entropy, step, k]))
+    select = batch.labels != ad.IGNORE_INDEX
+    logits = model.mlm_logits(batch.ids, attn_mask=batch.attn_mask, rng=rng, select=select)
+    loss = ad.cross_entropy(logits, batch.labels[select], reduction="sum")
+    ad.backward(ad.scale(loss, 1.0 / total_count))
+    reached = []
+    for name, p in model.params.items():
+        if p.grad is not None:
+            slabs[k][name][...] = p.grad
+            p.grad = None
+            reached.append(name)
+    return float(loss.data), reached
+
+
+@contextmanager
+def _window_runner(workers: int, job: Callable):
+    """Yield `run(calls)`: the results of `job(*call)` in call order, computed
+    here when `workers` is 1 and in a fork pool of `workers` processes
+    otherwise. A dead worker is a DataError naming the optimizer step, which
+    is each call's first item."""
+    if workers == 1:
+        yield lambda calls: [job(*call) for call in calls]
+        return
+    from lusoforge.workers import BrokenProcessPool, fork_pool
+
+    with fork_pool(workers, job) as submit:
+        def run(calls):
+            futures = [submit(*call) for call in calls]
+            try:
+                return [f.result() for f in futures]
+            except BrokenProcessPool as e:
+                raise DataError(f"a pre-training worker died in optimizer step {calls[0][0]} "
+                                f"({e}); last periodic checkpoint retained") from e
+
+        yield run
+
+
 def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[DisentangledEncoder, LossLog]:
     """Run the MLM objective for total_steps optimizer steps.
 
@@ -278,6 +357,17 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
     are summed and divided by the window's total count of predicted tokens,
     which reproduces single-large-batch training exactly. Non-finite loss
     aborts with the most recent periodic checkpoint left on disk.
+
+    The micro-batches of a step run in `min(accumulation_steps, usable CPUs)`
+    forked workers, or here when that is 1. The parameters live in memory
+    the workers share, and Adam updates them in place, so no worker needs a
+    copy. Each micro-batch's gradient goes to its own slab, and the slabs
+    are summed left to right in micro-batch order; a micro-batch with no
+    predicted token is skipped, and a parameter none of them reached gets no
+    update. Dropout is keyed by (optimizer step, micro-batch index). So the
+    outputs are the same bytes at any worker count. A dead worker is a
+    DataError, again with the last periodic checkpoint left on disk, and no
+    worker outlives the call.
 
     With init_checkpoint, training starts from that checkpoint's config and
     arrays; a given dropout_rate replaces the stored one. A tokenizer of
@@ -303,68 +393,76 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
     sequences = tokenize_corpus(corpus, tokenizer, config.seq_len)
     if not sequences:
         raise DataError("training corpus is empty after tokenization")
+
+    window = config.accumulation_steps
+    workers = min(window, len(os.sched_getaffinity(0)))
+    homes, *slabs = _regions(params, 1 + window, shared=workers > 1)
+    for name, view in homes.items():  # from here on, p.data is never rebound
+        view[...] = params[name].data
+        params[name].data = view
     model = DisentangledEncoder(enc_config, params)
 
     opt = Adam(params, lr=0.0, weight_decay=config.weight_decay)
-    dropout_rng = np.random.default_rng(dropout_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     mask_entropy = int(mask_ss.generate_state(1, dtype=np.uint64)[0])
+    dropout_entropy = int(dropout_ss.generate_state(1, dtype=np.uint64)[0])
     special_ids = frozenset(tokenizer.special_ids)
+    job = partial(_micro_batch_gradient, model, slabs,
+                  dropout_entropy if enc_config.dropout_rate > 0 else None)
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     log = LossLog()
-    drop_rate = enc_config.dropout_rate
-    train_rng = dropout_rng if drop_rate > 0 else None
     step = 0
     epoch = 0
     done = False
-    while not done:
-        if config.epochs and epoch >= config.epochs:
-            break
-        masked, labels = _mask_epoch(sequences, epoch, config, special_ids,
-                                     enc_config.vocab_size, mask_entropy)
-        epoch_seed = int(shuffle_rng.integers(np.iinfo(np.int64).max))
-        batches = make_batches(masked, config.micro_batch_size, config.seq_len,
-                               epoch_seed, labels=labels)
-        window = config.accumulation_steps
-        for w_start in range(0, len(batches), window):
-            micro = batches[w_start : w_start + window]
-            total_count = sum(int((b.labels != ad.IGNORE_INDEX).sum()) for b in micro)
-            if total_count == 0:
-                continue
-            opt.zero_grad()
-            window_nll = 0.0
-            for b in micro:
-                select = b.labels != ad.IGNORE_INDEX
-                if not select.any():
-                    continue  # all-ignored micro-batch: zero loss, zero gradient
-                logits = model.mlm_logits(b.ids, attn_mask=b.attn_mask, rng=train_rng,
-                                          select=select)
-                loss = ad.cross_entropy(logits, b.labels[select], reduction="sum")
-                scaled = ad.scale(loss, 1.0 / total_count)
-                ad.backward(scaled)
-                window_nll += float(loss.data)
-            mean_loss = window_nll / total_count
-            if not np.isfinite(mean_loss):
-                raise NumericalError(
-                    f"non-finite loss {mean_loss} at optimizer step {step + 1}; "
-                    "last periodic checkpoint retained"
-                )
-            step += 1
-            lr = lr_at(step, config.warmup_steps, config.total_steps, config.peak_lr)
-            opt.lr = lr
-            opt.step()
-            log.append(step=step, epoch=epoch, lr=lr, loss=mean_loss)
-            if out_dir and config.checkpoint_every and step % config.checkpoint_every == 0:
-                save_checkpoint(out_dir / f"model_step{step:06d}.ckpt", enc_config,
-                                params, meta={"step": step, "epoch": epoch})
-            if step >= config.total_steps:
-                done = True
+    with _window_runner(workers, job) as run:
+        while not done:
+            if config.epochs and epoch >= config.epochs:
                 break
-        epoch += 1
+            masked, labels = _mask_epoch(sequences, epoch, config, special_ids,
+                                         enc_config.vocab_size, mask_entropy)
+            epoch_seed = int(shuffle_rng.integers(np.iinfo(np.int64).max))
+            batches = make_batches(masked, config.micro_batch_size, config.seq_len,
+                                   epoch_seed, labels=labels)
+            for w_start in range(0, len(batches), window):
+                micro = batches[w_start : w_start + window]
+                total_count = sum(int((b.labels != ad.IGNORE_INDEX).sum()) for b in micro)
+                if total_count == 0:
+                    continue
+                # an all-ignored micro-batch has zero loss and no gradient
+                calls = [(step + 1, k, b, total_count) for k, b in enumerate(micro)
+                         if (b.labels != ad.IGNORE_INDEX).any()]
+                opt.zero_grad()
+                results = run(calls)
+                for (_, k, _, _), (_, reached) in zip(calls, results):
+                    # ((g0 + g1) + g2) + ..., summed into the first slab that has it
+                    for name in reached:
+                        p = params[name]
+                        if p.grad is None:
+                            p.grad = slabs[k][name]
+                        else:
+                            p.grad += slabs[k][name]
+                mean_loss = sum(nll for nll, _ in results) / total_count
+                if not np.isfinite(mean_loss):
+                    raise NumericalError(
+                        f"non-finite loss {mean_loss} at optimizer step {step + 1}; "
+                        "last periodic checkpoint retained"
+                    )
+                step += 1
+                lr = lr_at(step, config.warmup_steps, config.total_steps, config.peak_lr)
+                opt.lr = lr
+                opt.step()
+                log.append(step=step, epoch=epoch, lr=lr, loss=mean_loss)
+                if out_dir and config.checkpoint_every and step % config.checkpoint_every == 0:
+                    save_checkpoint(out_dir / f"model_step{step:06d}.ckpt", enc_config,
+                                    params, meta={"step": step, "epoch": epoch})
+                if step >= config.total_steps:
+                    done = True
+                    break
+            epoch += 1
 
     if out_dir:
         save_checkpoint(out_dir / "model.ckpt", enc_config, params,

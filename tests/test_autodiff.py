@@ -463,6 +463,7 @@ def test_no_grad_nests_and_restores_on_exception():
 def test_predict_bytes_do_not_depend_on_no_grad(monkeypatch):
     import contextlib
 
+    from lusoforge import finetune
     from lusoforge.encoder import init_params, preset
     from lusoforge.finetune import attach_head, predict
     from lusoforge.tokenizer import TokenSequence
@@ -472,9 +473,10 @@ def test_predict_bytes_do_not_depend_on_no_grad(monkeypatch):
     rng = np.random.default_rng(8)
     encoded = [TokenSequence([int(i) for i in rng.integers(0, 40, size=n)], [0] * n)
                for n in (5, 9, 12, 7)]
-    without = predict(model, encoded, batch_size=3)
+    monkeypatch.setattr(finetune, "PREDICT_BATCH_SIZE", 3)
+    without = predict(model, encoded)
     monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
-    graphed = predict(model, encoded, batch_size=3)
+    graphed = predict(model, encoded)
     assert without.tobytes() == graphed.tobytes()
 
 

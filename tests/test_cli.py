@@ -127,6 +127,37 @@ def test_numerical_abort_exit_code(ws, tmp_path):
     assert rc == 3
 
 
+def test_dead_pretraining_worker_is_one_data_error_line(ws, tmp_path, monkeypatch, capfd):
+    import multiprocessing
+    import os
+
+    import lusoforge.pretrain as pt
+
+    parent = os.getpid()
+    real = pt._micro_batch_gradient
+
+    def crash(model, slabs, dropout_entropy, step, k, batch, total_count):
+        if step == 2 and os.getpid() != parent:
+            os._exit(1)
+        return real(model, slabs, dropout_entropy, step, k, batch, total_count)
+
+    monkeypatch.setattr(pt, "_micro_batch_gradient", crash)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rc = cli.main(["pretrain", "--input", str(ws["filtered"]), "--tokenizer", str(ws["vocab"]),
+                   "--preset", "micro", "--seq-len", "32", "--micro-batch-size", "2",
+                   "--accumulation-steps", "2", "--warmup-steps", "1", "--total-steps", "4",
+                   "--checkpoint-every", "1", "--out", str(tmp_path)])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert multiprocessing.active_children() == []
+    errors = [line for line in err.splitlines() if not line.startswith("lusoforge")]
+    assert len(errors) == 1 and errors[0].startswith("data error: ")
+    assert "optimizer step 2" in errors[0] and "Traceback" not in err
+    assert (tmp_path / "model_step000001.ckpt").exists()
+    assert not (tmp_path / "model_step000002.ckpt").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # corpus commands
 

@@ -418,12 +418,13 @@ def test_predict_empty_input(task_micro):
     assert preds.shape == (0,)
 
 
-def test_predict_batch_size_invariant(task_micro, task_tokenizer, small_splits):
+def test_predict_batch_size_invariant(task_micro, task_tokenizer, small_splits, monkeypatch):
     cfg, params = task_micro
     model = attach_head(cfg, params, "binary_classification", dropout=0.3, seed=1)
     encoded = encode_all(task_tokenizer, small_splits[0][:10])
-    a = predict(model, encoded, batch_size=32)
-    b = predict(model, encoded, batch_size=2)
+    a = predict(model, encoded)
+    monkeypatch.setattr(ft, "PREDICT_BATCH_SIZE", 2)
+    b = predict(model, encoded)
     # dropout is inert without an rng, so chunking must not matter
     assert np.array_equal(a, b)
 
@@ -879,6 +880,8 @@ def test_run_grid_worker_death_fails_only_its_own_point(task_micro, task_tokeniz
 def test_grid_worker_initializer_pins_one_blas_thread():
     import ctypes
 
+    from lusoforge.workers import _one_blas_thread
+
     with open("/proc/self/maps", encoding="utf-8") as f:
         paths = sorted({line.split(None, 5)[-1].strip() for line in f
                         if "libscipy_openblas64_" in line})
@@ -888,7 +891,7 @@ def test_grid_worker_initializer_pins_one_blas_thread():
     before = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(2)
     try:
-        ft._one_blas_thread()
+        _one_blas_thread()
         assert lib.scipy_openblas_get_num_threads64_() == 1
     finally:
         lib.scipy_openblas_set_num_threads64_(before)

@@ -104,17 +104,6 @@ def test_f1_no_true_positives():
     assert f1_binary([0, 0], [1, 1]) == 0.0
 
 
-def test_f1_positive_class_selectable():
-    pred = [0, 0, 1]
-    gold = [0, 1, 1]
-    # treating 0 as the positive class flips the confusion matrix:
-    # TP at index 0, FP at index 1 (pred 0, gold 1), no FN
-    f1_for_zero = f1_binary(pred, gold, positive_class=0)
-    tp, fp, fn = 1, 1, 0
-    want = 2 * (tp / (tp + fp)) * (tp / (tp + fn)) / ((tp / (tp + fp)) + (tp / (tp + fn)))
-    assert f1_for_zero == pytest.approx(want)
-
-
 def brute_f1(pred, gold, positive=1):
     tp = sum(p == positive and g == positive for p, g in zip(pred, gold))
     fp = sum(p == positive and g != positive for p, g in zip(pred, gold))

@@ -160,15 +160,20 @@ def original_indices(batch):
 
 
 def test_dynamic_padding_to_longest_in_batch():
-    batches = make_batches(seqs_of_lengths(7, 12), micro_batch_size=2, seq_len=128, seed=0)
+    seqs = seqs_of_lengths(7, 12)
+    batches = make_batches(seqs, micro_batch_size=2, seq_len=128, seed=0, labels=seqs)
     assert len(batches) == 1
     b = batches[0]
     assert b.ids.shape == (2, 12)
     assert b.attn_mask.sum() == 7 + 12
+    real = b.attn_mask == 1
+    np.testing.assert_array_equal(b.labels[real], b.ids[real])
+    assert np.all(b.labels[~real] == -100)
 
 
 def test_full_length_sequences_get_no_padding():
-    batches = make_batches(seqs_of_lengths(16, 16, 16, 16), micro_batch_size=2, seq_len=16, seed=0)
+    seqs = seqs_of_lengths(16, 16, 16, 16)
+    batches = make_batches(seqs, micro_batch_size=2, seq_len=16, seed=0, labels=seqs)
     for b in batches:
         assert b.ids.shape[1] == 16
         assert np.all(b.attn_mask == 1)
@@ -176,8 +181,8 @@ def test_full_length_sequences_get_no_padding():
 
 def test_same_seed_same_batches():
     seqs = seqs_of_lengths(*(range(4, 24)))
-    a = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=11)
-    b = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=11)
+    a = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=11, labels=seqs)
+    b = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=11, labels=seqs)
     assert len(a) == len(b)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.ids, y.ids)
@@ -186,19 +191,19 @@ def test_same_seed_same_batches():
 
 def test_different_seed_usually_reshuffles():
     seqs = seqs_of_lengths(*(range(4, 24)))
-    a = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=11)
-    b = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=12)
+    a = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=11, labels=seqs)
+    b = make_batches(seqs, micro_batch_size=4, seq_len=32, seed=12, labels=seqs)
     assert any(not np.array_equal(original_indices(x), original_indices(y)) for x, y in zip(a, b))
 
 
 def test_empty_corpus_is_data_error():
     with pytest.raises(DataError):
-        make_batches([], micro_batch_size=2, seq_len=16, seed=0)
+        make_batches([], micro_batch_size=2, seq_len=16, seed=0, labels=[])
 
 
 def test_batches_cover_every_sequence_once():
     seqs = seqs_of_lengths(*(range(4, 24)))
-    batches = make_batches(seqs, micro_batch_size=3, seq_len=32, seed=5)
+    batches = make_batches(seqs, micro_batch_size=3, seq_len=32, seed=5, labels=seqs)
     seen = np.concatenate([original_indices(b) for b in batches])
     assert sorted(seen.tolist()) == list(range(len(seqs)))
 
@@ -207,7 +212,7 @@ def test_batches_cover_every_sequence_once():
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31 - 1))
 def test_batch_partition_property(mbs, seed):
     seqs = seqs_of_lengths(*(range(4, 17)))
-    batches = make_batches(seqs, micro_batch_size=mbs, seq_len=32, seed=seed)
+    batches = make_batches(seqs, micro_batch_size=mbs, seq_len=32, seed=seed, labels=seqs)
     seen = np.concatenate([original_indices(b) for b in batches])
     assert sorted(seen.tolist()) == list(range(len(seqs)))
     for b in batches:
@@ -433,3 +438,99 @@ def test_periodic_checkpoints_written(toy_sentences_module, toy_tokenizer_module
     assert (tmp_path / "model_step000004.ckpt").exists()
     assert (tmp_path / "model_step000008.ckpt").exists()
     assert (tmp_path / "model.ckpt").exists()
+
+
+# ----------------------------------------------------------- pooled windows
+
+def sha256_of_outputs(out):
+    import hashlib
+
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.suffix in (".ckpt", ".csv")}
+
+
+@pytest.mark.parametrize("accumulation_steps", [2, 4])
+def test_outputs_are_the_same_bytes_at_any_worker_count(accumulation_steps, toy_sentences_module,
+                                                         toy_tokenizer_module, tmp_path, monkeypatch):
+    # 4 "CPUs" at accumulation 4 runs more workers than the machine may have cores
+    import multiprocessing
+    import os
+    import signal
+
+    def expire(signum, frame):
+        raise TimeoutError("training still running after 300 s")
+
+    cfg = dict(seed=3, preset="micro", seq_len=32, micro_batch_size=2,
+               accumulation_steps=accumulation_steps, peak_lr=1e-3, warmup_steps=2,
+               total_steps=6, dropout_rate=0.1, checkpoint_every=2)
+    prints = {}
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(300)
+    try:
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}"
+            train(TrainRunConfig(out_dir=str(out), **cfg), toy_sentences_module,
+                  toy_tokenizer_module)
+            assert multiprocessing.active_children() == []
+            prints[cpus] = sha256_of_outputs(out)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert sorted(prints[1]) == ["loss_log.csv", "model.ckpt", "model_step000002.ckpt",
+                                 "model_step000004.ckpt", "model_step000006.ckpt"]
+    assert prints[1] == prints[2] == prints[4]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_never_rebinds_a_parameter(cpus, toy_sentences_module, toy_tokenizer_module,
+                                         monkeypatch):
+    # workers read the parameters through memory they share with this
+    # process, so Adam must update the arrays of the first step in place
+    import os
+
+    from lusoforge.optim import Adam
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    first = {}
+    real_step = Adam.step
+
+    def step(opt):
+        if not first:
+            first.update({k: (p.data, p.data.ctypes.data) for k, p in opt.params.items()})
+        real_step(opt)
+
+    monkeypatch.setattr(Adam, "step", step)
+    cfg = TrainRunConfig(seed=4, preset="micro", seq_len=32, micro_batch_size=4,
+                         accumulation_steps=2, peak_lr=1e-3, warmup_steps=1, total_steps=3,
+                         dropout_rate=0.1, checkpoint_every=0)
+    model, _ = train(cfg, toy_sentences_module, toy_tokenizer_module)
+    assert first and sorted(first) == sorted(model.params)
+    for name, p in model.params.items():
+        array, address = first[name]
+        assert p.data is array and p.data.ctypes.data == address, name
+
+
+def test_worker_exception_keeps_its_type(toy_sentences_module, toy_tokenizer_module, monkeypatch):
+    import multiprocessing
+    import os
+
+    import lusoforge.pretrain as pt
+    from lusoforge.errors import ShapeError
+
+    parent = os.getpid()
+    real = pt._micro_batch_gradient
+
+    def fail(*args):
+        if os.getpid() != parent:
+            raise ShapeError("planted in a worker")
+        return real(*args)
+
+    monkeypatch.setattr(pt, "_micro_batch_gradient", fail)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = TrainRunConfig(seed=4, preset="micro", seq_len=32, micro_batch_size=4,
+                         accumulation_steps=2, peak_lr=1e-3, warmup_steps=1, total_steps=3,
+                         dropout_rate=0.0, checkpoint_every=0)
+    with pytest.raises(ShapeError, match="planted in a worker"):
+        train(cfg, toy_sentences_module, toy_tokenizer_module)
+    assert multiprocessing.active_children() == []
