@@ -10,8 +10,8 @@ machine speed does not favour one side. Every run appends one JSON line to
 FILE (side, pair, seed, return code, machine, and the run's own JSON line),
 so several workloads can share one file. At the end it prints, for each
 end-to-end metric of CHANGE_DIR/BENCHMARK.json, each side's median and
-quartiles, the median change, and in how many pairs the change was better.
-Standard library only.
+quartiles, the median change, in how many pairs the change was better, and
+a verdict (see `verdict`). Standard library only.
 """
 
 from __future__ import annotations
@@ -59,6 +59,28 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: tuple[float, float, float], change_median: float, wins: int, pairs: int,
+            metric: dict) -> str:
+    """One metric's reading, from the parent's quartiles and the change's median.
+
+    `worse`: the change's median is worse than the parent's by more than the
+    metric's relative `bound`. `unresolved`: the parent's quartile spread is
+    wider than that bound, so the runs cannot tell. `claim met`: the change
+    is better in at least 9/10 of the pairs and its median is better than the
+    parent's by more than the parent's quartile spread. Otherwise `within bound`.
+    """
+    q1, median, q3 = parent
+    gain = median - change_median if metric["better"] == "lower" else change_median - median
+    bound = metric["bound"] * abs(median)
+    if -gain > bound:
+        return "worse"
+    if q3 - q1 > bound:
+        return "unresolved"
+    if 10 * wins >= 9 * pairs and gain > q3 - q1:
+        return "claim met"
+    return "within bound"
+
+
 def summarize(records: list[dict], end_to_end: list[dict]) -> list[str]:
     by_pair: dict[int, dict[str, dict]] = {}
     for r in records:
@@ -84,7 +106,7 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> list[str]:
             f"{name:12s} parent {parent[1]:.4g} [{parent[0]:.4g}, {parent[2]:.4g}]  "
             f"change {change[1]:.4g} [{change[0]:.4g}, {change[2]:.4g}]  "
             f"median {gain:+.1f}%  change better in {wins}/{len(rows)} "
-            f"({metric['better']} is better)")
+            f"({metric['better']} is better): {verdict(parent, change[1], wins, len(rows), metric)}")
     return lines
 
 

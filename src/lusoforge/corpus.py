@@ -14,18 +14,27 @@ are compared, which makes the same decisions as comparing every pair.
 The quality chain evaluates word-repetition before character-repetition:
 heavy word-level repetition trips both ratios, and the word-level reason is
 the informative one.
+
+The per-document kernels count exactly: character n-grams as sorted 64-bit
+integer keys in numpy (`char_repetition_ratio`), and word shingles by
+hashing each gram once, as a slice of the page's joined words (`_shingles`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
+import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, asdict
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 from urllib.parse import urlsplit
+
+import numpy as np
 
 from lusoforge.errors import DataError, UsageError
 
@@ -59,6 +68,11 @@ class QualityThresholds:
     char_ngram: int = 10
     max_nonalpha: float = 0.4
     max_url_ratio: float = 0.2
+
+    def __post_init__(self):
+        for name in ("word_ngram", "char_ngram"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -107,9 +121,28 @@ class FilterReport:
 # JSON Lines IO
 
 
+def _string_field(obj: dict, name: str, required: bool, path, lineno: int) -> str | None:
+    """Pop `name` from a record: a string that encodes as UTF-8, or, when
+    not `required`, null or absent."""
+    value = obj.pop(name, None)
+    if value is None and not required:
+        return None
+    if not isinstance(value, str):
+        kind = "a string" if required else "a string or null"
+        raise DataError(f"{path}:{lineno}: '{name}' must be {kind}, got {json.dumps(value)[:40]}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise DataError(f"{path}:{lineno}: '{name}' is not UTF-8 text: {e.reason} "
+                        f"at character {e.start}") from e
+    return value
+
+
 def read_jsonl(path: str | Path) -> list[Document]:
     """One Document per line; fields beyond the known ones are preserved in
-    `extra` and written back out verbatim. Duplicate ids are a data error."""
+    `extra` and written back out verbatim. A line must hold a JSON object
+    whose `text` is a string and whose `url`, if any, is a string or null.
+    Duplicate ids are a data error."""
     docs: list[Document] = []
     seen: set[str] = set()
     try:
@@ -125,13 +158,16 @@ def read_jsonl(path: str | Path) -> list[Document]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: a document must be a JSON object, "
+                                f"got {line[:40]}")
             if "id" not in obj or "text" not in obj:
                 raise DataError(f"{path}:{lineno}: document needs 'id' and 'text'")
             doc = Document(
                 id=str(obj.pop("id")),
-                text=obj.pop("text"),
+                text=_string_field(obj, "text", True, path, lineno),
                 source=obj.pop("source", "OTHER"),
-                url=obj.pop("url", None),
+                url=_string_field(obj, "url", False, path, lineno),
                 tld=obj.pop("tld", None),
                 extra=obj,
             )
@@ -174,8 +210,6 @@ def tld_reason(doc: Document, country_code: str) -> str | None:
 
 def content_hash(text: str) -> int:
     """64-bit digest of whitespace-collapsed text."""
-    import hashlib
-
     norm = " ".join(text.split())
     return int.from_bytes(hashlib.blake2b(norm.encode("utf-8"), digest_size=8).digest(), "little")
 
@@ -192,10 +226,22 @@ def deduplicate(docs: Sequence[Document]) -> list[Document]:
 
 
 def _shingles(text: str, n: int) -> frozenset[int]:
-    # stable across processes, unlike builtin hash()
+    """`content_hash` of each word n-gram, or of the whole text when it has at
+    most n words; stable across processes, unlike builtin hash().
+
+    The words of `text.split()` hold no whitespace, so each gram's collapsed
+    form is a slice of the joined words, hashed without a second split. In
+    the UTF-8 bytes of the joined words, the separating spaces are the only
+    0x20 bytes, so splitting the bytes there gives each word's byte length.
+    """
     words = text.split()
-    grams = [words] if len(words) < n else [words[i : i + n] for i in range(len(words) - n + 1)]
-    return frozenset(content_hash(" ".join(g)) for g in grams)
+    if len(words) <= n:
+        return frozenset((content_hash(text),))
+    data = " ".join(words).encode("utf-8")
+    starts = [0, *accumulate(len(w) + 1 for w in data.split(b" "))]
+    digests = b"".join([hashlib.blake2b(data[a : b - 1], digest_size=8).digest()
+                        for a, b in zip(starts, starts[n:])])
+    return frozenset(struct.unpack(f"<{len(digests) // 8}Q", digests))
 
 
 def _min_overlap(size: int, t: float) -> int:
@@ -247,49 +293,70 @@ def near_deduplicate(docs: Sequence[Document], n: int, t: float) -> list[Documen
     return kept
 
 
-def char_repetition_ratio(text: str, n: int = 10) -> float:
+def char_repetition_ratio(text: str, n: int) -> float:
     """Mass of the most frequent character n-grams over all n-gram mass.
 
     'Most frequent' means the top sqrt(#distinct) grams, excluding singleton
     grams from that budget, so short diverse texts score near zero while
     periodic texts score near one.
+
+    The grams are counted exactly as integer keys: each character becomes its
+    rank in the page's sorted alphabet of k characters, each n-window the
+    base-k number of its ranks, and the sorted keys' run lengths are the
+    counts. A key fits in 64 bits while k**n <= 2**64 (k <= 84 at n = 10); a
+    page with a larger alphabet counts its grams as strings.
     """
-    if len(text) < n:
+    m = len(text) - n + 1
+    if m < 1:
         return 0.0
-    freqs = sorted(Counter(text[i : i + n] for i in range(len(text) - n + 1)).values(),
-                   reverse=True)
-    singletons = sum(1 for v in freqs if v == 1)
-    top = min(int(math.isqrt(len(freqs))), len(freqs) - singletons)
-    total = sum(freqs)
-    return sum(freqs[:top]) / total if total else 0.0
+    alphabet = sorted(set(text))
+    k = len(alphabet)
+    if k ** n <= 1 << 64:
+        ranks = text.translate(dict(zip(map(ord, alphabet), range(k))))
+        ids = np.frombuffer(ranks.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.uint64)
+        base = np.uint64(k)
+        keys = ids[:m].copy()
+        for j in range(1, n):
+            keys *= base
+            keys += ids[j : j + m]
+        keys.sort()
+        # the last index of each run of equal keys, after a virtual one at -1
+        ends = np.concatenate(([-1], np.flatnonzero(keys[1:] - keys[:-1]), [m - 1]))
+        counts = ends[1:] - ends[:-1]
+    else:
+        counts = np.fromiter(Counter(text[i : i + n] for i in range(m)).values(), np.int64)
+    counts.sort()
+    distinct = counts.size
+    singletons = int(np.searchsorted(counts, 2))
+    top = min(math.isqrt(distinct), distinct - singletons)
+    return int(counts[distinct - top:].sum()) / m
 
 
-def word_repetition_ratio(text: str, n: int = 5) -> float:
+def word_repetition_ratio(text: str, n: int) -> float:
     """Mass of repeated word n-grams over all word n-gram mass."""
     words = text.split()
     if len(words) < n:
         return 0.0
-    counts = Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
-    total = sum(counts.values())
-    return sum(v for v in counts.values() if v >= 2) / total
+    counts = Counter(zip(*(words[i:] for i in range(n))))
+    return sum(v for v in counts.values() if v >= 2) / (len(words) - n + 1)
 
 
 def nonalpha_ratio(text: str) -> float:
     if not text:
         return 1.0
-    return sum(1 for c in text if not c.isalpha()) / len(text)
+    return sum(text.count(c) for c in set(text) if not c.isalpha()) / len(text)
 
 
 def url_token_ratio(text: str) -> float:
-    tokens = text.split()
-    if not tokens:
+    # the pattern holds no whitespace, so a page without a match has no URL token
+    if not _URL_TOKEN.search(text):
         return 0.0
+    tokens = text.split()
     return sum(1 for t in tokens if _URL_TOKEN.search(t)) / len(tokens)
 
 
-def quality_reason(doc: Document, t: QualityThresholds | None = None) -> str | None:
+def quality_reason(doc: Document, t: QualityThresholds) -> str | None:
     """First failing check's name, or None when the document passes all."""
-    t = t or QualityThresholds()
     text = doc.text
     if len(text) < t.min_chars:
         return "min-length"
@@ -391,7 +458,7 @@ def source_stats(docs: Sequence[Document], tokenizer=None) -> dict[str, dict]:
     return out
 
 
-def corpus_stats(docs: Sequence[Document], tokenizer=None) -> FilterReport:
+def corpus_stats(docs: Sequence[Document], tokenizer) -> FilterReport:
     """Statistics-only report: no filtering, just composition."""
     report = FilterReport(input_count=len(docs), kept_count=len(docs))
     report.sources = source_stats(docs, tokenizer)

@@ -4,8 +4,9 @@ These are the straightforward versions of algorithms that `src/` runs in a
 faster, exact form: greedy BPE training that recounts every pair of every
 word before each merge, the near-duplicate scan that compares each document
 with every kept one, the masked-token decoder run over every position, and
-the relative-position bucket of one (query, key) pair. Tests require equal
-results from both. A plain-numpy enhanced mask decoder
+the relative-position bucket of one (query, key) pair, and the corpus
+quality ratios and word shingles counted one gram or token at a time.
+Tests require equal results from both. A plain-numpy enhanced mask decoder
 in the form of He et al. (2021, §3.2) checks the decoder for any layer count.
 The kernels' first forms are kept too: the broadcast `take_along_axis`
 gather and its `np.add.at` scatter, the embedding backward that scatters
@@ -14,13 +15,15 @@ into a zeroed table, and the Adam step built from whole-array temporaries.
 
 from __future__ import annotations
 
+import math
+import re
 from collections import Counter
 
 import numpy as np
 from scipy.special import erf
 
 from lusoforge import autodiff as ad
-from lusoforge.corpus import _shingles
+from lusoforge.corpus import content_hash
 from lusoforge.encoder import (
     NEG_BIAS,
     _ffn_sublayer,
@@ -78,12 +81,57 @@ def train_bpe_reference(texts, vocab_size: int) -> tuple[list[tuple[str, str]], 
     return merges, vocab
 
 
+def brute_word_rep(text: str, n: int) -> float:
+    """Share of word n-grams that occur at least twice."""
+    words = text.split()
+    if len(words) < n:
+        return 0.0
+    grams = [tuple(words[i:i + n]) for i in range(len(words) - n + 1)]
+    c = Counter(grams)
+    return sum(v for v in c.values() if v >= 2) / len(grams)
+
+
+def brute_char_rep(text: str, n: int) -> float:
+    """Share of character n-grams held by the top sqrt(#distinct) repeated grams."""
+    if len(text) < n:
+        return 0.0
+    grams = [text[i:i + n] for i in range(len(text) - n + 1)]
+    c = Counter(grams)
+    freqs = sorted(c.values(), reverse=True)
+    budget = min(int(math.isqrt(len(freqs))), sum(1 for v in freqs if v > 1))
+    return sum(freqs[:budget]) / len(grams)
+
+
+def nonalpha_reference(text: str) -> float:
+    """Share of characters that are not letters; 1.0 for the empty text."""
+    if not text:
+        return 1.0
+    return sum(1 for c in text if not c.isalpha()) / len(text)
+
+
+def url_token_reference(text: str) -> float:
+    """Share of whitespace tokens that hold a URL scheme or a `www.`."""
+    tokens = text.split()
+    if not tokens:
+        return 0.0
+    url = re.compile(r"https?://|www\.", re.IGNORECASE)
+    return sum(1 for t in tokens if url.search(t)) / len(tokens)
+
+
+def shingles_reference(text: str, n: int) -> frozenset[int]:
+    """`content_hash` of each word n-gram joined by one space, or of all the
+    words when there are fewer than n."""
+    words = text.split()
+    grams = [words] if len(words) < n else [words[i:i + n] for i in range(len(words) - n + 1)]
+    return frozenset(content_hash(" ".join(g)) for g in grams)
+
+
 def near_dup_reference(docs, n: int, t: float) -> list:
     """Documents kept by comparing each one with every kept document."""
     kept = []
     kept_shingles: list[frozenset[int]] = []
     for d in docs:
-        sh = _shingles(d.text, n)
+        sh = shingles_reference(d.text, n)
         dup = False
         for other in kept_shingles:
             inter = len(sh & other)

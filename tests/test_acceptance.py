@@ -346,7 +346,7 @@ def test_a09_corpus_pipeline():
     docs = make_documents({"OSCAR": 15, "DCEP": 20, "Europarl": 31, "ParlamentoPT": 34})
     config = corpus_mod.PipelineConfig()
     kept, rep = corpus_mod.run_pipeline(docs, config)
-    stats = corpus_mod.corpus_stats(kept)
+    stats = corpus_mod.corpus_stats(kept, None)
     props = {s: stats.sources[s]["doc_proportion"] for s in stats.sources}
     props_ok = props == {"OSCAR": 0.15, "DCEP": 0.20, "Europarl": 0.31,
                          "ParlamentoPT": 0.34}

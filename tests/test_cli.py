@@ -372,6 +372,8 @@ def test_out_of_range_setting_is_usage_error(ws, tmp_path, capsys, command, extr
       "--train", "absent.tsv", "--test", "absent.tsv", "--seq-len", "2"], None),
     (["sweep", "--task", "rte", "--checkpoint", "absent.ckpt", "--tokenizer", "absent.json",
       "--train", "absent.tsv", "--test", "absent.tsv"], {"grid": "weird"}),
+    (["corpus", "filter", "--input", "absent.jsonl"], {"thresholds": {"char_ngram": 0}}),
+    (["corpus", "filter", "--input", "absent.jsonl"], {"thresholds": {"word_ngram": -1}}),
 ])
 def test_setting_checked_before_inputs_load(tmp_path, capsys, argv, config):
     if config is not None:
@@ -874,6 +876,36 @@ def test_report_rejects_a_malformed_input_in_one_line(tmp_path, capsys, flag, co
     assert len(lines) == 1 and lines[0].startswith("data error:"), lines
     if flag == "--loss-log":
         assert lines[0].startswith(f"data error: {path}:2: ")
+
+
+_BAD_RECORDS = {
+    "int-text": '{"id": "b", "text": 5}',
+    "int-url": '{"id": "b", "text": "dois tres", "url": 5}',
+    "surrogate-text": '{"id": "b", "text": "dois \\ud800 tres"}',
+    "string-line": '"idtext"',
+    "array-line": '[{"id": "b", "text": "dois"}]',
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_RECORDS))
+@pytest.mark.parametrize("command", ["corpus filter", "corpus stats", "tokenizer train",
+                                     "pretrain"])
+def test_malformed_corpus_record_is_one_data_error_line(ws, tmp_path, capsys, command, bad):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "um dois", "url": "https://a.pt/"}\n'
+                    + _BAD_RECORDS[bad] + "\n", encoding="utf-8")
+    extra = {"corpus filter": ["--cc", "pt"], "corpus stats": [],
+             "tokenizer train": ["--vocab-size", "160"],
+             "pretrain": ["--tokenizer", str(ws["vocab"]), "--preset", "micro",
+                          "--warmup-steps", "1", "--total-steps", "2"]}[command]
+    capsys.readouterr()
+    rc = cli.main([*command.split(), "--input", str(path), *extra, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    lines = [line for line in err.strip().splitlines() if not line.startswith("lusoforge: config")]
+    assert len(lines) == 1 and lines[0].startswith(f"data error: {path}:2: "), lines
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_report_requires_some_input(tmp_path, capsys):
