@@ -59,25 +59,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: tuple[float, float, float], change_median: float, wins: int, pairs: int,
-            metric: dict) -> str:
-    """One metric's reading, from the parent's quartiles and the change's median.
+def verdict(rows: list[tuple[float, float]], metric: dict, failed: tuple[int, int]) -> str:
+    """One metric's reading from its (parent, change) value in each pair and
+    each side's count of failed operations.
 
-    `worse`: the change's median is worse than the parent's by more than the
-    metric's relative `bound`. `unresolved`: the parent's quartile spread is
-    wider than that bound, so the runs cannot tell. `claim met`: the change
-    is better in at least 9/10 of the pairs and its median is better than the
-    parent's by more than the parent's quartile spread. Otherwise `within bound`.
+    `claim met`: the change is better in at least 9/10 of the pairs, its
+    median is better than the parent's by more than the parent's quartile
+    spread, and it failed no more operations than the parent. `worse`: the
+    change's median is worse than the parent's by more than the metric's
+    relative `bound`. `unresolved`: the parent's quartile spread is wider than
+    that bound, so the runs cannot tell, unless every run of the change is
+    better than every run of the parent. Otherwise `within bound`.
     """
-    q1, median, q3 = parent
-    gain = median - change_median if metric["better"] == "lower" else change_median - median
+    sign = -1 if metric["better"] == "lower" else 1
+    parent = [sign * a for a, _ in rows]
+    change = [sign * b for _, b in rows]
+    q1, median, q3 = quartiles(parent)
+    gain = statistics.median(change) - median
+    wins = sum(b > a for a, b in zip(parent, change))
+    if 10 * wins >= 9 * len(rows) and gain > q3 - q1 and failed[1] <= failed[0]:
+        return "claim met"
     bound = metric["bound"] * abs(median)
     if -gain > bound:
         return "worse"
-    if q3 - q1 > bound:
+    if q3 - q1 > bound and min(change) <= max(parent):
         return "unresolved"
-    if 10 * wins >= 9 * pairs and gain > q3 - q1:
-        return "claim met"
     return "within bound"
 
 
@@ -87,11 +93,11 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> list[str]:
         if r["result"] is not None:
             by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
     pairs = [p for p in by_pair.values() if len(p) == 2]
+    failed = (sum(p["parent"]["failed"] for p in pairs), sum(p["change"]["failed"] for p in pairs))
     lines = [f"{len(pairs)} complete pairs; "
              f"correct: parent {sum(p['parent']['correct'] for p in pairs)}, "
              f"change {sum(p['change']['correct'] for p in pairs)}; "
-             f"failed ops: parent {sum(p['parent']['failed'] for p in pairs)}, "
-             f"change {sum(p['change']['failed'] for p in pairs)}"]
+             f"failed ops: parent {failed[0]}, change {failed[1]}"]
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
         rows = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
@@ -106,7 +112,7 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> list[str]:
             f"{name:12s} parent {parent[1]:.4g} [{parent[0]:.4g}, {parent[2]:.4g}]  "
             f"change {change[1]:.4g} [{change[0]:.4g}, {change[2]:.4g}]  "
             f"median {gain:+.1f}%  change better in {wins}/{len(rows)} "
-            f"({metric['better']} is better): {verdict(parent, change[1], wins, len(rows), metric)}")
+            f"({metric['better']} is better): {verdict(rows, metric, failed)}")
     return lines
 
 

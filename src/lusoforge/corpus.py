@@ -15,9 +15,11 @@ The quality chain evaluates word-repetition before character-repetition:
 heavy word-level repetition trips both ratios, and the word-level reason is
 the informative one.
 
-The per-document kernels count exactly: character n-grams as sorted 64-bit
-integer keys in numpy (`char_repetition_ratio`), and word shingles by
-hashing each gram once, as a slice of the page's joined words (`_shingles`).
+The per-document kernels count exactly: character n-grams as sorted integer
+keys in numpy, one 64-bit word per key for alphabets of up to 84 characters
+at n = 10 and as many words as a larger alphabet needs (`char_repetition_ratio`),
+and word shingles by hashing each gram once, as a slice of the page's joined
+words (`_shingles`).
 """
 
 from __future__ import annotations
@@ -122,42 +124,46 @@ class FilterReport:
 
 
 def _string_field(obj: dict, name: str, required: bool, path, lineno: int) -> str | None:
-    """Pop `name` from a record: a string that encodes as UTF-8, or, when
-    not `required`, null or absent."""
+    """Pop `name` from a record: a string or, when not `required`, null or
+    absent."""
     value = obj.pop(name, None)
     if value is None and not required:
         return None
     if not isinstance(value, str):
         kind = "a string" if required else "a string or null"
         raise DataError(f"{path}:{lineno}: '{name}' must be {kind}, got {json.dumps(value)[:40]}")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as e:
-        raise DataError(f"{path}:{lineno}: '{name}' is not UTF-8 text: {e.reason} "
-                        f"at character {e.start}") from e
     return value
 
 
 def read_jsonl(path: str | Path) -> list[Document]:
     """One Document per line; fields beyond the known ones are preserved in
-    `extra` and written back out verbatim. A line must hold a JSON object
-    whose `text` is a string and whose `url`, if any, is a string or null.
-    Duplicate ids are a data error."""
+    `extra` and written back out verbatim. A line must be UTF-8 and hold a
+    JSON object whose `text` is a string, whose `url`, if any, is a string or
+    null, and whose strings, keys included, encode as UTF-8 again (no lone
+    surrogate escapes). Duplicate ids are a data error."""
     docs: list[Document] = []
     seen: set[str] = set()
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "rb")
     except OSError as e:
         raise DataError(f"cannot read corpus file {path}: {e}") from e
     with handle as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}:{lineno}: not UTF-8: {e.reason} at byte {e.start}") from e
             if not line:
                 continue
             try:
                 obj = json.loads(line)
+                # a lone surrogate can only come from a \u escape in the line
+                if "\\u" in line:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from e
+            except UnicodeEncodeError as e:
+                raise DataError(f"{path}:{lineno}: a string is not UTF-8 text: {e.reason}") from e
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: a document must be a JSON object, "
                                 f"got {line[:40]}")
@@ -293,6 +299,35 @@ def near_deduplicate(docs: Sequence[Document], n: int, t: float) -> list[Documen
     return kept
 
 
+def _window_keys(text: str, n: int) -> list[np.ndarray]:
+    """Each character n-window of `text` as a tuple of 64-bit words, one array
+    per word: equal windows get equal tuples and different windows different
+    ones.
+
+    Each character becomes its rank in the page's sorted alphabet of k
+    characters, and a word holds the base-k number of the ranks of w
+    consecutive characters, w as large as k**w <= 2**64 allows (all ten at
+    n = 10 for k <= 84, nine for k <= 101, never fewer than three).
+    """
+    m = len(text) - n + 1
+    alphabet = sorted(set(text))
+    k = len(alphabet)
+    ranks = text.translate(dict(zip(map(ord, alphabet), range(k))))
+    ids = np.frombuffer(ranks.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.uint64)
+    w = n
+    while k ** w > 1 << 64:
+        w -= 1
+    base = np.uint64(k)
+    words = []
+    for start in range(0, n, w):
+        word = ids[start : start + m].copy()
+        for j in range(start + 1, min(start + w, n)):
+            word *= base
+            word += ids[j : j + m]
+        words.append(word)
+    return words
+
+
 def char_repetition_ratio(text: str, n: int) -> float:
     """Mass of the most frequent character n-grams over all n-gram mass.
 
@@ -300,31 +335,26 @@ def char_repetition_ratio(text: str, n: int) -> float:
     grams from that budget, so short diverse texts score near zero while
     periodic texts score near one.
 
-    The grams are counted exactly as integer keys: each character becomes its
-    rank in the page's sorted alphabet of k characters, each n-window the
-    base-k number of its ranks, and the sorted keys' run lengths are the
-    counts. A key fits in 64 bits while k**n <= 2**64 (k <= 84 at n = 10); a
-    page with a larger alphabet counts its grams as strings.
+    The grams are counted exactly as sorted integer keys (`_window_keys`):
+    the run lengths of equal keys are the counts. A one-word key is sorted in
+    place, a longer one with `np.lexsort`.
     """
     m = len(text) - n + 1
     if m < 1:
         return 0.0
-    alphabet = sorted(set(text))
-    k = len(alphabet)
-    if k ** n <= 1 << 64:
-        ranks = text.translate(dict(zip(map(ord, alphabet), range(k))))
-        ids = np.frombuffer(ranks.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.uint64)
-        base = np.uint64(k)
-        keys = ids[:m].copy()
-        for j in range(1, n):
-            keys *= base
-            keys += ids[j : j + m]
-        keys.sort()
-        # the last index of each run of equal keys, after a virtual one at -1
-        ends = np.concatenate(([-1], np.flatnonzero(keys[1:] - keys[:-1]), [m - 1]))
-        counts = ends[1:] - ends[:-1]
+    words = _window_keys(text, n)
+    if len(words) == 1:
+        words[0].sort()
     else:
-        counts = np.fromiter(Counter(text[i : i + n] for i in range(m)).values(), np.int64)
+        order = np.lexsort(words)
+        words = [word[order] for word in words]
+    # a run of equal keys ends where any word differs from the next key's
+    last = words[0][1:] != words[0][:-1]
+    for word in words[1:]:
+        last |= word[1:] != word[:-1]
+    # the last index of each run, after a virtual one at -1
+    ends = np.concatenate(([-1], np.flatnonzero(last), [m - 1]))
+    counts = ends[1:] - ends[:-1]
     counts.sort()
     distinct = counts.size
     singletons = int(np.searchsorted(counts, 2))

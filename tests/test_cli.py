@@ -879,11 +879,15 @@ def test_report_rejects_a_malformed_input_in_one_line(tmp_path, capsys, flag, co
 
 
 _BAD_RECORDS = {
-    "int-text": '{"id": "b", "text": 5}',
-    "int-url": '{"id": "b", "text": "dois tres", "url": 5}',
-    "surrogate-text": '{"id": "b", "text": "dois \\ud800 tres"}',
-    "string-line": '"idtext"',
-    "array-line": '[{"id": "b", "text": "dois"}]',
+    "int-text": b'{"id": "b", "text": 5}',
+    "int-url": b'{"id": "b", "text": "dois tres", "url": 5}',
+    "surrogate-text": b'{"id": "b", "text": "dois \\ud800 tres"}',
+    "surrogate-id": b'{"id": "b\\ud800", "text": "dois tres"}',
+    "surrogate-extra": b'{"id": "b", "text": "dois tres", "note": ["\\udc00"]}',
+    "surrogate-key": b'{"id": "b", "text": "dois tres", "\\udfff": 1}',
+    "not-utf8": b'{"id": "b", "text": "dois \xed\xa0\x80 tres"}',
+    "string-line": b'"idtext"',
+    "array-line": b'[{"id": "b", "text": "dois"}]',
 }
 
 
@@ -892,8 +896,8 @@ _BAD_RECORDS = {
                                      "pretrain"])
 def test_malformed_corpus_record_is_one_data_error_line(ws, tmp_path, capsys, command, bad):
     path = tmp_path / "corpus.jsonl"
-    path.write_text('{"id": "a", "text": "um dois", "url": "https://a.pt/"}\n'
-                    + _BAD_RECORDS[bad] + "\n", encoding="utf-8")
+    path.write_bytes(b'{"id": "a", "text": "um dois", "url": "https://a.pt/"}\n'
+                     + _BAD_RECORDS[bad] + b"\n")
     extra = {"corpus filter": ["--cc", "pt"], "corpus stats": [],
              "tokenizer train": ["--vocab-size", "160"],
              "pretrain": ["--tokenizer", str(ws["vocab"]), "--preset", "micro",

@@ -6,13 +6,11 @@ from __future__ import annotations
 import json
 import random
 import string
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import lusoforge.corpus as corpus_mod
 from lusoforge.corpus import (
     Document,
     PipelineConfig,
@@ -22,6 +20,7 @@ from lusoforge.corpus import (
     corpus_stats,
     _min_overlap,
     _shingles,
+    _window_keys,
     deduplicate,
     near_deduplicate,
     nonalpha_ratio,
@@ -315,8 +314,8 @@ def test_thresholds_overridable():
 
 # ----------------------------------------------------------------- kernels
 # The counting kernels must give exactly what their oracles give, which count
-# one gram or token at a time. Character grams are counted as 64-bit keys up
-# to 84 distinct characters at n = 10 and as strings past that.
+# one gram or token at a time. A character gram's key is one 64-bit word up to
+# 84 distinct characters at n = 10 and two or more words past that.
 
 # astral-plane characters and whitespace first, so the 84-character pages hold them
 _POOL = "".join(dict.fromkeys(
@@ -355,14 +354,19 @@ def test_kernels_equal_their_oracles(text):
     assert url_token_ratio(text) == url_token_reference(text)
 
 
-@pytest.mark.parametrize("k, as_strings", [(84, False), (85, True)])
-def test_char_grams_are_strings_only_past_the_key_limit(monkeypatch, k, as_strings):
-    text = _POOL[:k] * 3 + _POOL[:k // 2]
-    assert len(set(text)) == k and (k ** 10 > 2**64) is as_strings
-    counted = []
-    monkeypatch.setattr(corpus_mod, "Counter", lambda grams: counted.append(k) or Counter(grams))
+@pytest.mark.parametrize("k, words", [(84, 1), (85, 2), (7131, 2), (7132, 3), (65536, 3),
+                                      (65537, 4)])
+def test_char_keys_take_as_many_words_as_the_alphabet_needs(k, words):
+    # astral-plane characters, so the ranks differ from the code points
+    chars = "".join(map(chr, range(0x10000, 0x10000 + k)))
+    text = chars + chars[: k // 2]
+    keys = _window_keys(text, 10)
+    assert len(keys) == words
+    windows = [text[i : i + 10] for i in range(len(text) - 9)]
+    tuples = list(zip(*(key.tolist() for key in keys)))
+    # equal windows get equal keys, and different windows different ones
+    assert len(set(windows)) == len(set(tuples)) == len(set(zip(windows, tuples)))
     assert char_repetition_ratio(text, 10) == brute_char_rep(text, 10)
-    assert bool(counted) is as_strings
 
 
 # ----------------------------------------------------------------- pipeline
