@@ -307,7 +307,7 @@ def _window_keys(text: str, n: int) -> list[np.ndarray]:
     Each character becomes its rank in the page's sorted alphabet of k
     characters, and a word holds the base-k number of the ranks of w
     consecutive characters, w as large as k**w <= 2**64 allows (all ten at
-    n = 10 for k <= 84, nine for k <= 101, never fewer than three).
+    n = 10 for k <= 84, nine for k <= 138, never fewer than three).
     """
     m = len(text) - n + 1
     alphabet = sorted(set(text))
