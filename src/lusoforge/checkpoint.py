@@ -91,6 +91,17 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
     return config, tensors, header.get("meta", {})
 
 
+def check_inputs_fit(config: EncoderConfig, path: str | Path, vocab_size: int, seq_len: int):
+    """Refuse, as a DataError, a tokenizer of another vocabulary size or a
+    sequence length above max_seq_len for the model checkpoint `path` holds."""
+    if config.vocab_size != vocab_size:
+        raise DataError(f"tokenizer has {vocab_size} entries but checkpoint "
+                        f"{path} has {config.vocab_size}")
+    if seq_len > config.max_seq_len:
+        raise DataError(f"seq_len {seq_len} exceeds max_seq_len "
+                        f"{config.max_seq_len} of checkpoint {path}")
+
+
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
     """Trainable tensors over the arrays themselves, not copies: the arrays
     `load_checkpoint` returns are owned, and `TaskModel` copies what it trains."""

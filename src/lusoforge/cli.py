@@ -34,7 +34,8 @@ from lusoforge import corpus as corpus_mod
 from lusoforge import finetune as ft
 from lusoforge import pretrain as pt
 from lusoforge import tokenizer as tok_mod
-from lusoforge.checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
+from lusoforge.checkpoint import (check_inputs_fit, load_checkpoint, params_from_arrays,
+                                  save_checkpoint)
 from lusoforge.errors import DataError, LusoforgeError, NumericalError, UsageError
 from lusoforge.manifest import RunManifest
 
@@ -141,10 +142,13 @@ def _resolve_fields(args, file_cfg: dict, defaults: dict) -> dict:
     return resolved
 
 
-def _check_minimums(fields: dict):
+def _check_settings(fields: dict):
+    """The `_MINIMUMS`, and dev_fraction in (0, 1), before any input loads."""
     for name, low in _MINIMUMS.items():
         if name in fields and fields[name] < low:
             raise UsageError(f"{name} must be >= {low}, got {fields[name]}")
+    if not 0.0 < fields.get("dev_fraction", 0.5) < 1.0:
+        raise UsageError(f"dev_fraction {fields['dev_fraction']} outside (0, 1)")
 
 
 def _thresholds(raw) -> corpus_mod.QualityThresholds:
@@ -294,16 +298,25 @@ def _task_spec(name: str) -> ft.TaskSpec:
     return ft.TASKS[name]
 
 
+def _examples(path: Path, spec: ft.TaskSpec) -> list[ft.TaskExample]:
+    examples = ft.read_task_tsv(path, spec)
+    if not examples:
+        raise DataError(f"task file {path} holds no examples")
+    return examples
+
+
 def _task_inputs(args, spec: ft.TaskSpec, fields: dict, seed: int):
     """Checkpoint, tokenizer, and the train and dev examples of a run: dev from
     --dev, or else carved from train by fields["dev_fraction"] and the seed.
-    The `_MINIMUMS` are checked before anything is loaded."""
-    _check_minimums(fields)
+    The settings are checked before anything is loaded, and the tokenizer
+    and seq_len against the checkpoint before any example is read."""
+    _check_settings(fields)
     enc_config, arrays, _ = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    train_ex = ft.read_task_tsv(args.train, spec)
+    check_inputs_fit(enc_config, args.checkpoint, tokenizer.vocab_size, fields["seq_len"])
+    train_ex = _examples(args.train, spec)
     if args.dev:
-        dev_ex = ft.read_task_tsv(args.dev, spec)
+        dev_ex = _examples(args.dev, spec)
     else:
         train_ex, dev_ex = ft.split_train_dev(train_ex, fields["dev_fraction"], seed)
     return enc_config, arrays, tokenizer, train_ex, dev_ex
@@ -344,7 +357,7 @@ def _cmd_sweep(args, file_cfg: dict, man: RunManifest, out: Path):
     spec = _task_spec(args.task)
     fields = _resolve_fields(args, file_cfg, _SWEEP_SETTINGS)
     enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, man.seed)
-    test_ex = ft.read_task_tsv(args.test, spec)
+    test_ex = _examples(args.test, spec)
     if fields["grid"] == "full":
         grid = ft.full_grid()
     else:
@@ -380,11 +393,16 @@ def _cmd_sweep(args, file_cfg: dict, man: RunManifest, out: Path):
 def _cmd_eval(args, file_cfg: dict, man: RunManifest, out: Path):
     spec = _task_spec(args.task)
     fields = _resolve_fields(args, file_cfg, _EVAL_SETTINGS)
-    _check_minimums(fields)
+    _check_settings(fields)
     enc_config, arrays, meta = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    examples = ft.read_task_tsv(args.data, spec)
-    model = ft.load_task_model(enc_config, arrays, meta.get("head_type", spec.head_type))
+    head_type = meta.get("head_type", spec.head_type)
+    if head_type != spec.head_type:
+        raise DataError(f"checkpoint {args.checkpoint} holds a {head_type} head but task "
+                        f"{spec.name} needs a {spec.head_type} head")
+    model = ft.load_task_model(enc_config, arrays, head_type)
+    check_inputs_fit(enc_config, args.checkpoint, tokenizer.vocab_size, fields["seq_len"])
+    examples = _examples(args.data, spec)
     encoded, labels = ft.encode_examples(examples, tokenizer, fields["seq_len"])
     score = ft.evaluate(model, encoded, labels, spec)
     report = {"task": spec.name, "metric": spec.metric, "score": score,

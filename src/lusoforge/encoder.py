@@ -10,7 +10,11 @@ Wq/Wk used for content (no bias on the position path, so a zeroed table
 contributes exactly nothing and the layer degrades to standard attention).
 
 The first layer adds a 1-D convolution over the input embeddings to its
-attention output before the residual. Masked-token prediction runs the
+attention output before the residual. A caller that reads only the first m
+positions of the output (a task head reads the CLS state, m = 1) passes
+`last_rows`: the last layer then takes its queries, residual and FFN from
+those rows alone, while its keys, values and position terms span every
+position. Masked-token prediction runs the
 enhanced mask decoder (He et al. 2021, §3.2) on the selected positions only:
 their query stream starts at the encoder output H plus absolute position
 embeddings, every decoding layer attends over all of H as fixed keys and
@@ -179,18 +183,23 @@ def disentangled_scores(
     params: dict[str, Tensor],
     prefix: str,
     num_heads: int,
+    query: Tensor | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """The three per-head score terms (c2c, c2p, p2c), unscaled.
 
-    Shapes: H [B,S,h], P [2k,h]; each returned term is [B,heads,S,S].
+    Shapes: H [B,S,h], P [2k,h]; `query` [B,m,h] holds the states of query
+    positions 0..m-1 (default H, m = S). Each returned term is
+    [B,heads,m,S]: the queries come from `query`, the keys from all of H.
     """
     b, s, h = H.shape
+    query = H if query is None else query
+    m = query.shape[1]
     two_k = P.shape[0]
     k = two_k // 2
     wq, bq = params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]
     wk, bk = params[f"{prefix}.attn.wk"], params[f"{prefix}.attn.bk"]
 
-    Q = _split_heads(ad.add(ad.matmul(H, wq), bq), num_heads)   # [B,nh,S,dh]
+    Q = _split_heads(ad.add(ad.matmul(query, wq), bq), num_heads)   # [B,nh,m,dh]
     K = _split_heads(ad.add(ad.matmul(H, wk), bk), num_heads)
     # position path shares Wq/Wk but takes no bias
     dh = h // num_heads
@@ -199,13 +208,13 @@ def disentangled_scores(
 
     buckets = bucket_matrix(s, k)
 
-    c2c = ad.matmul(Q, ad.swap_last2(K))                        # [B,nh,S,S]
+    c2c = ad.matmul(Q, ad.swap_last2(K))                        # [B,nh,m,S]
     # c2p: score[i,j] = Q_i . Kr_{bucket(i,j)}
-    qkr = ad.matmul(Q, ad.swap_last2(ad.reshape(Kr, (1,) + Kr.shape)))  # [B,nh,S,2k]
-    c2p = ad.gather_last(qkr, buckets)
+    qkr = ad.matmul(Q, ad.swap_last2(ad.reshape(Kr, (1,) + Kr.shape)))  # [B,nh,m,2k]
+    c2p = ad.gather_last(qkr, buckets[:m])
     # p2c: score[i,j] = K_j . Qr_{bucket(j,i)}; gather per key row then flip
     kqr = ad.matmul(K, ad.swap_last2(ad.reshape(Qr, (1,) + Qr.shape)))  # [B,nh,S,2k]
-    p2c = ad.swap_last2(ad.gather_last(kqr, buckets))
+    p2c = ad.swap_last2(ad.gather_last(kqr, buckets[:, :m]))
     return c2c, c2p, p2c
 
 
@@ -218,17 +227,19 @@ def disentangled_attention(
     num_heads: int,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    query: Tensor | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Multi-head disentangled attention.
 
-    Returns (context [B,S,h] with heads merged, A [B,heads,S,S]) where A is
-    the masked pre-softmax score tensor. Rows whose every key is masked fall
+    Returns (context [B,m,h] with heads merged, A [B,heads,m,S]) where A is
+    the masked pre-softmax score tensor and m the rows of `query` (see
+    `disentangled_scores`). Rows whose every key is masked fall
     back to a uniform average of V (every score replaced by the same finite
     floor), which is the documented degenerate behavior rather than an error.
     """
     b, s, h = H.shape
     dh = h // num_heads
-    c2c, c2p, p2c = disentangled_scores(H, P, params, prefix, num_heads)
+    c2c, c2p, p2c = disentangled_scores(H, P, params, prefix, num_heads, query)
     scores = ad.scale(ad.add(ad.add(c2c, c2p), p2c), 1.0 / np.sqrt(3.0 * dh))
     A = _apply_mask(scores, attn_mask)
     probs = ad.softmax(A, axis=-1)
@@ -304,6 +315,20 @@ def conv1d_same(x: Tensor, attn_mask: np.ndarray, kernel: Tensor, bias: Tensor) 
     return ad.add(acc, bias)
 
 
+class _LeadingRows:
+    """The generator of a layer that computes only the first rows of its
+    output: each dropout mask is drawn at the full layer's shape (S on axis
+    -2) and cut to the leading rows, so the stream advances, and the kept
+    rows are masked, exactly as in the full layer."""
+
+    def __init__(self, rng: np.random.Generator, seq_len: int):
+        self.rng, self.seq_len = rng, seq_len
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        full = self.rng.random(shape[:-2] + (self.seq_len,) + shape[-1:])
+        return full[..., : shape[-2], :]
+
+
 def encoder_forward(
     params: dict[str, Tensor],
     config: EncoderConfig,
@@ -311,11 +336,15 @@ def encoder_forward(
     segments: np.ndarray | None = None,
     attn_mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
+    last_rows: int | None = None,
 ) -> list[Tensor]:
     """Run the full encoder stack; rng=None disables every dropout.
 
     Returns the list of hidden states: [embeddings, layer 1, ..., layer L],
     all shaped [B, S, hidden]. The last entry is the encoder output.
+    `last_rows` = m < S makes the last layer output only positions 0..m-1,
+    [B, m, hidden]: its queries, residual, conv addend and FFN take those
+    rows, and its keys, values and position terms all S positions.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -340,13 +369,18 @@ def encoder_forward(
     h = emb
     for i in range(config.num_layers):
         prefix = f"layer{i}"
+        m = s if last_rows is None or i < config.num_layers - 1 else min(last_rows, s)
+        q = h if m == s else ad.narrow(h, 1, 0, m)
+        layer_rng = rng if m == s or rng is None else _LeadingRows(rng, s)
         ctx, _ = disentangled_attention(h, P, attn_mask, params, prefix,
-                                        config.num_heads, drop, rng)
+                                        config.num_heads, drop, layer_rng, query=q)
         conv = (conv1d_same(h, attn_mask, params["conv.kernel"], params["conv.bias"])
                 if i == 0 else None)
-        h = _finish_attn_sublayer(h, ctx, params, prefix, config.layer_norm_eps, drop, rng,
-                                  addend=conv)
-        h = _ffn_sublayer(h, params, prefix, config.layer_norm_eps, drop, rng)
+        if conv is not None and m < s:
+            conv = ad.narrow(conv, 1, 0, m)
+        h = _finish_attn_sublayer(q, ctx, params, prefix, config.layer_norm_eps, drop,
+                                  layer_rng, addend=conv)
+        h = _ffn_sublayer(h, params, prefix, config.layer_norm_eps, drop, layer_rng)
         hidden.append(h)
     return hidden
 
@@ -415,8 +449,10 @@ class DisentangledEncoder:
         self.config = config
         self.params = params
 
-    def forward(self, ids, segments=None, attn_mask=None, rng=None) -> list[Tensor]:
-        return encoder_forward(self.params, self.config, ids, segments, attn_mask, rng)
+    def forward(self, ids, segments=None, attn_mask=None, rng=None,
+                last_rows=None) -> list[Tensor]:
+        return encoder_forward(self.params, self.config, ids, segments, attn_mask, rng,
+                               last_rows)
 
     def mlm_logits(self, ids, attn_mask=None, rng=None, select=None) -> Tensor:
         hidden = self.forward(ids, None, attn_mask, rng)

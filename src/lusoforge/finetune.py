@@ -18,6 +18,11 @@ Task examples come from TSV files (`read_task_tsv`) and are tokenized by
 metric: every epoch's dev score, every grid run's test score and the CLI's
 `eval` all go through it.
 
+The task head reads only the CLS state, so `TaskModel` asks the encoder for
+the first position of its last layer alone (`last_rows=1`): that layer's
+queries, residual and FFN run over one row, in training and in `predict`,
+while its keys and values span the sequence.
+
 Half precision is emulated: parameters are rounded through float16 storage
 after each optimizer step while all arithmetic stays float32.
 """
@@ -204,7 +209,7 @@ class TaskModel:
         self.encoder = DisentangledEncoder(cfg, params)
 
     def forward(self, ids, segments, attn_mask, rng=None) -> Tensor:
-        hidden = self.encoder.forward(ids, segments, attn_mask, rng)
+        hidden = self.encoder.forward(ids, segments, attn_mask, rng, last_rows=1)
         pooled = ad.take(hidden[-1], 0, axis=1)          # CLS position
         pooled = ad.dropout(pooled, self.config.dropout_rate, rng)
         return ad.add(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
@@ -217,12 +222,18 @@ def attach_head(enc_config: EncoderConfig, enc_params: dict[str, Tensor],
 
 def load_task_model(enc_config: EncoderConfig, arrays: dict[str, np.ndarray],
                     head_type: str) -> TaskModel:
-    """Rebuild a fine-tuned model (encoder + head) from checkpoint arrays.
+    """Rebuild a fine-tuned model (encoder + head) from checkpoint arrays; a
+    head of another shape than `head_type`'s is a DataError.
     Decoder tensors that older fine-tuned checkpoints still hold are dropped.
     `TaskModel` copies the encoder arrays; the head takes its float32 arrays
     as they are."""
     if "head.w" not in arrays or "head.b" not in arrays:
         raise DataError("checkpoint has no task head; fine-tune first")
+    shape = (enc_config.hidden_size, 1 if head_type == "regression" else 2)
+    if arrays["head.w"].shape != shape or arrays["head.b"].shape != shape[1:]:
+        raise DataError(f"checkpoint head has shapes {arrays['head.w'].shape} and "
+                        f"{arrays['head.b'].shape}, but a {head_type} head needs "
+                        f"{shape} and {shape[1:]}")
     enc_arrays = {k: Tensor(v) for k, v in arrays.items() if not k.startswith("head.")}
     model = TaskModel(enc_config, enc_arrays, head_type, dropout=0.0, seed=0)
     model.params["head.w"].data = np.asarray(arrays["head.w"], dtype=np.float32)

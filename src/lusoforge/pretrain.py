@@ -34,7 +34,8 @@ import numpy as np
 
 from lusoforge import autodiff as ad
 from lusoforge import tokenizer as tok_mod
-from lusoforge.checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
+from lusoforge.checkpoint import (check_inputs_fit, load_checkpoint, params_from_arrays,
+                                  save_checkpoint)
 from lusoforge.encoder import PRESETS, DisentangledEncoder, EncoderConfig, init_params, preset
 from lusoforge.errors import DataError, NumericalError, UsageError
 from lusoforge.optim import Adam
@@ -378,12 +379,8 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
     init_ss, mask_ss, shuffle_ss, dropout_ss = root.spawn(4)
     if config.init_checkpoint:
         enc_config, arrays, _ = load_checkpoint(config.init_checkpoint)
-        if enc_config.vocab_size != tokenizer.vocab_size:
-            raise DataError(f"tokenizer has {tokenizer.vocab_size} entries but checkpoint "
-                            f"{config.init_checkpoint} has {enc_config.vocab_size}")
-        if config.seq_len > enc_config.max_seq_len:
-            raise DataError(f"seq_len {config.seq_len} exceeds max_seq_len "
-                            f"{enc_config.max_seq_len} of checkpoint {config.init_checkpoint}")
+        check_inputs_fit(enc_config, config.init_checkpoint, tokenizer.vocab_size,
+                         config.seq_len)
         if config.dropout_rate is not None:
             enc_config = replace(enc_config, dropout_rate=config.dropout_rate)
         params = params_from_arrays(arrays)  # every layer kept as stored

@@ -7,7 +7,9 @@ with every kept one, the masked-token decoder run over every position, and
 the relative-position bucket of one (query, key) pair, and the corpus
 quality ratios and word shingles counted one gram or token at a time.
 Tests require equal results from both. A plain-numpy enhanced mask decoder
-in the form of He et al. (2021, §3.2) checks the decoder for any layer count.
+in the form of He et al. (2021, §3.2) checks the decoder for any layer count,
+and the task head read off the full encoder graph, its last layer computed
+at every position, checks the task model's pruned last layer.
 The kernels' first forms are kept too: the broadcast `take_along_axis`
 gather and its `np.add.at` scatter, the embedding backward that scatters
 into a zeroed table, and the Adam step built from whole-array temporaries.
@@ -175,6 +177,14 @@ def mlm_logits_reference(params, config, ids, segments=None, attn_mask=None, rng
     # tied output projection: literally the embedding table, transposed in-graph
     return ad.matmul(h, ad.swap_last2(ad.reshape(params["embed.tokens"],
                                                  (1,) + params["embed.tokens"].shape)))
+
+
+def task_forward_reference(model, ids, segments, attn_mask, rng=None):
+    """`TaskModel.forward` over the full encoder graph: the last layer at every
+    position, then its CLS row, the pooled dropout and the linear head."""
+    hidden = encoder_forward(model.params, model.config, ids, segments, attn_mask, rng)
+    pooled = ad.dropout(ad.take(hidden[-1], 0, axis=1), model.config.dropout_rate, rng)
+    return ad.add(ad.matmul(pooled, model.params["head.w"]), model.params["head.b"])
 
 
 def emd_paper_reference(params, config, H, attn_mask) -> np.ndarray:

@@ -644,20 +644,21 @@ def test_finetuned_checkpoint_is_encoder_only(ws):
     assert not [k for k in arrays if k.startswith(("abspos.", "emd"))]
 
 
-def test_vocabulary_mismatch_is_one_line_error(ws, tmp_path, capsys):
-    # the tokenizer's ids run past a 16-entry checkpoint vocabulary, which
-    # the embedding lookup rejects with ShapeError: exit 2, no traceback
+def test_vocabulary_mismatch_is_one_line_error(ws, tmp_path, monkeypatch, capsys):
+    # a tokenizer whose ids run past a 16-entry checkpoint vocabulary is
+    # refused before any training: exit 2, one line, no traceback
     small = tmp_path / "small.ckpt"
     config = preset("micro", vocab_size=16)
     save_checkpoint(small, config, init_params(config, np.random.default_rng(0)))
+    _no_work(monkeypatch, "ft.finetune")
+    capsys.readouterr()
     rc = cli.main(["finetune", "--task", "rte", "--checkpoint", str(small),
                    "--tokenizer", str(ws["vocab"]), "--train", str(ws["train_tsv"]),
                    "--epochs", "1", "--batch-size", "8", "--seq-len", "32",
                    "--out", str(tmp_path / "fin")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "error: ShapeError: " in err
-    assert "Traceback" not in err
+    assert _one_error_line(capsys) == [
+        f"data error: tokenizer has 160 entries but checkpoint {small} has 16"]
 
 
 def test_eval_cli(ws, tmp_path, capsys):
@@ -854,6 +855,96 @@ def test_init_checkpoint_refuses_seq_len_above_its_max(ws, tmp_path, monkeypatch
     err = capsys.readouterr().err.strip().splitlines()
     assert [line for line in err if not line.startswith("lusoforge: config")] == [
         f"data error: seq_len 65 exceeds max_seq_len 64 of checkpoint {init}"]
+
+
+def _task_call(ws, command, checkpoint, *extra):
+    """The argv of a task command over the workspace's files, less --out."""
+    data = {"finetune": ["--train", str(ws["train_tsv"])],
+            "sweep": ["--train", str(ws["train_tsv"]), "--test", str(ws["test_tsv"]),
+                      "--grid", "quick"],
+            "eval": ["--data", str(ws["test_tsv"])]}[command]
+    epochs = [] if command == "eval" else ["--epochs", "1"]
+    return [command, "--task", "rte", "--checkpoint", str(checkpoint),
+            "--tokenizer", str(ws["vocab"]), *data, *epochs, *extra]
+
+
+def _one_error_line(capsys) -> list[str]:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.strip().splitlines() if not line.startswith("lusoforge: config")]
+
+
+_TASK_WORK = ("ft.finetune", "ft.run_grid", "ft.evaluate")
+
+
+@pytest.mark.parametrize("command", ["sweep", "eval"])  # finetune: see above
+def test_task_commands_refuse_a_tokenizer_of_another_vocabulary(ws, tmp_path, monkeypatch,
+                                                                capsys, command):
+    small = tmp_path / "small.ckpt"
+    config = preset("micro", vocab_size=16)
+    arrays, meta = init_params(config, np.random.default_rng(0)), None
+    if command == "eval":  # eval needs a fine-tuned head
+        _, tuned, meta = load_checkpoint(ws["fin"] / "model_finetuned.ckpt")
+        arrays.update((k, tuned[k]) for k in ("head.w", "head.b"))
+    save_checkpoint(small, config, arrays, meta=meta)
+    _no_work(monkeypatch, *_TASK_WORK)
+    capsys.readouterr()
+    argv = _task_call(ws, command, small, "--seq-len", "32")
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert _one_error_line(capsys) == [
+        f"data error: tokenizer has 160 entries but checkpoint {small} has 16"]
+
+
+@pytest.mark.parametrize("command", ["finetune", "sweep", "eval"])
+def test_task_commands_refuse_seq_len_above_the_checkpoint_max(ws, tmp_path, monkeypatch,
+                                                               capsys, command):
+    ckpt = ws["fin"] / "model_finetuned.ckpt" if command == "eval" else ws["pre"] / "model.ckpt"
+    _no_work(monkeypatch, *_TASK_WORK)
+    capsys.readouterr()
+    argv = _task_call(ws, command, ckpt, "--seq-len", "100")
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert _one_error_line(capsys) == [
+        f"data error: seq_len 100 exceeds max_seq_len 64 of checkpoint {ckpt}"]
+
+
+@pytest.mark.parametrize("command, flag", [("sweep", "--test"), ("eval", "--data")])
+def test_task_commands_refuse_an_empty_task_file(ws, tmp_path, monkeypatch, capsys,
+                                                 command, flag):
+    empty = tmp_path / "empty.tsv"
+    write_task_tsv([], empty, RTE)
+    ckpt = ws["fin"] / "model_finetuned.ckpt" if command == "eval" else ws["pre"] / "model.ckpt"
+    argv = _task_call(ws, command, ckpt, "--seq-len", "32")
+    argv[argv.index(flag) + 1] = str(empty)
+    _no_work(monkeypatch, *_TASK_WORK)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert _one_error_line(capsys) == [f"data error: task file {empty} holds no examples"]
+
+
+def test_eval_refuses_a_checkpoint_of_another_head_type(ws, tmp_path, monkeypatch, capsys):
+    ckpt = ws["fin"] / "model_finetuned.ckpt"  # fine-tuned on rte
+    argv = _task_call(ws, "eval", ckpt, "--seq-len", "32")
+    argv[argv.index("--task") + 1] = "stsb"
+    _no_work(monkeypatch, *_TASK_WORK)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert _one_error_line(capsys) == [
+        f"data error: checkpoint {ckpt} holds a binary_classification head but task stsb "
+        "needs a regression head"]
+
+
+def test_eval_refuses_a_head_of_the_wrong_width(ws, tmp_path, monkeypatch, capsys):
+    config, arrays, meta = load_checkpoint(ws["fin"] / "model_finetuned.ckpt")
+    arrays["head.w"], arrays["head.b"] = arrays["head.w"][:, :1], arrays["head.b"][:1]
+    narrow = tmp_path / "narrow.ckpt"
+    save_checkpoint(narrow, config, arrays, meta=meta)
+    _no_work(monkeypatch, *_TASK_WORK)
+    capsys.readouterr()
+    argv = _task_call(ws, "eval", narrow, "--seq-len", "32")
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert _one_error_line(capsys) == [
+        "data error: checkpoint head has shapes (64, 1) and (1,), but a binary_classification "
+        "head needs (64, 2) and (2,)"]
 
 
 @pytest.mark.parametrize("flag, content", [

@@ -565,6 +565,69 @@ def test_selected_path_gradients_at_two_decoder_layers():
     assert res.passed, res.summary()
 
 
+# ----------------------------------------------------------------- pruned last layer
+
+def padded_batch(cfg, s, seed=3):
+    """ids [3, s] and a mask whose second row is padded after position 0 and
+    whose third row is padded after position s // 2."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(5, cfg.vocab_size, size=(3, s))
+    mask = np.ones((3, s), dtype=np.float32)
+    mask[1, 1:] = 0.0
+    mask[2, s // 2 + 1:] = 0.0
+    return ids, mask
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@pytest.mark.parametrize("num_layers", [1, 2])   # at 1 the conv addend is narrowed too
+@pytest.mark.parametrize("s", [1, 2, 17])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_last_rows_match_the_full_last_layer(dtype, tol, num_layers, s, rows):
+    cfg = small_config(num_layers=num_layers, max_seq_len=20)
+    params = init_params(cfg, np.random.default_rng(5), dtype=dtype)
+    ids, mask = padded_batch(cfg, s)
+    full = encoder_forward(params, cfg, ids, attn_mask=mask)
+    pruned = encoder_forward(params, cfg, ids, attn_mask=mask, last_rows=rows)
+    m = min(rows, s)
+    assert pruned[-1].shape == (3, m, cfg.hidden_size)
+    for a, b in zip(full[:-1], pruned[:-1]):        # earlier layers are untouched
+        np.testing.assert_array_equal(a.data, b.data)
+    want = full[-1].data[:, :m]
+    assert np.abs(pruned[-1].data - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_last_rows_draw_dropout_as_the_full_layer(num_layers):
+    cfg = small_config(num_layers=num_layers, max_seq_len=20, dropout_rate=0.1)
+    params = params64(cfg, 8)
+    ids, mask = padded_batch(cfg, 17)
+    full_rng, pruned_rng = np.random.default_rng(4), np.random.default_rng(4)
+    full = encoder_forward(params, cfg, ids, attn_mask=mask, rng=full_rng)[-1].data[:, 0]
+    pruned = encoder_forward(params, cfg, ids, attn_mask=mask, rng=pruned_rng,
+                             last_rows=1)[-1].data[:, 0]
+    assert pruned_rng.bit_generator.state == full_rng.bit_generator.state
+    # the CLS row keeps the full layer's dropout masks
+    assert np.abs(pruned - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_task_head_gradients_through_the_pruned_last_layer(num_layers):
+    cfg = small_config(num_layers=num_layers)
+    params = params64(cfg, 9)
+    params["head.w"] = Tensor(np.random.default_rng(1).normal(0, 0.5, (cfg.hidden_size, 2)),
+                              requires_grad=True, dtype=np.float64)
+    ids, mask = padded_batch(cfg, 6)
+    labels = np.array([0, 1, 1])
+
+    def loss_fn():
+        hidden = encoder_forward(params, cfg, ids, attn_mask=mask, last_rows=1)
+        cls = ad.take(hidden[-1], 0, axis=1)
+        return ad.cross_entropy(ad.matmul(cls, params["head.w"]), labels)
+
+    res = check_gradients(loss_fn, params, rtol=1e-2, atol=1e-6)
+    assert res.passed, res.summary()
+
+
 # ----------------------------------------------------------------- presets
 
 def test_presets_exist_with_expected_scale():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import task_forward_reference
 
 import lusoforge.finetune as ft
 from lusoforge import tokenizer as tok_mod
@@ -356,6 +357,46 @@ def test_task_model_carries_encoder_only(task_micro):
     model = attach_head(cfg, params, "binary_classification", seed=0)
     assert not [k for k in model.params if k.startswith(("abspos.", "emd"))]
     assert set(model.params) == {k for k in params if not is_emd_param(k)} | {"head.w", "head.b"}
+
+
+def task_batch(vocab_size, s, seed=0):
+    """ids, segments and mask [3, s]; the second row is padded after the CLS
+    position and the third after position s // 2."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(5, vocab_size, size=(3, s))
+    segs = (np.arange(s) >= s // 2).astype(np.int64)[None, :].repeat(3, axis=0)
+    mask = np.ones((3, s), dtype=np.float32)
+    mask[1, 1:] = 0.0
+    mask[2, s // 2 + 1:] = 0.0
+    return ids, segs, mask
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("s", [1, 2, 17])
+def test_task_model_matches_the_full_encoder_reference(dtype, tol, num_layers, s):
+    cfg = preset("micro", num_layers=num_layers)
+    params = init_params(cfg, np.random.default_rng(2), dtype=dtype)
+    model = attach_head(cfg, params, "binary_classification", seed=3)
+    for name in ("head.w", "head.b"):
+        model.params[name].data = model.params[name].data.astype(dtype)
+    ids, segs, mask = task_batch(cfg.vocab_size, s)
+    got = model.forward(ids, segs, mask).data
+    want = task_forward_reference(model, ids, segs, mask).data
+    assert got.dtype == want.dtype == dtype
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def test_task_model_training_forward_draws_dropout_as_the_full_graph():
+    cfg = preset("micro")
+    model = attach_head(cfg, init_params(cfg, np.random.default_rng(2)),
+                        "binary_classification", dropout=0.1, seed=3)
+    ids, segs, mask = task_batch(cfg.vocab_size, 17)
+    rng, full_rng = np.random.default_rng(13), np.random.default_rng(13)
+    got = model.forward(ids, segs, mask, rng=rng).data
+    want = task_forward_reference(model, ids, segs, mask, rng=full_rng).data
+    assert rng.bit_generator.state == full_rng.bit_generator.state
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def test_load_task_model_accepts_decoder_tensors(task_micro):
