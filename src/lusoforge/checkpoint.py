@@ -9,6 +9,13 @@ Layout:
 
 Sorted order plus canonical JSON makes save(load(f)) reproduce f byte for
 byte, which the reproducibility contract leans on.
+
+A checkpoint holds a config of well-typed fields and the tensors that
+`encoder.param_shapes` declares for it and its meta `head_type`.
+`load_checkpoint` checks both before it reads any payload: a bad field or
+the first missing, extra, misshaped or wrongly sized tensor is one DataError.
+A fine-tuned checkpoint may also hold its config's decoder tensors, as older
+versions wrote; they are dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from lusoforge.autodiff import Tensor
-from lusoforge.encoder import EncoderConfig
+from lusoforge.encoder import HEAD_WIDTHS, EncoderConfig, param_shapes
 from lusoforge.errors import DataError
 
 FORMAT_VERSION = 1
@@ -31,11 +38,10 @@ FORMAT_VERSION = 1
 def save_checkpoint(path: str | Path, config: EncoderConfig,
                     params: dict[str, Tensor], meta: dict | None = None):
     """Write atomically: temp file in the target directory, then rename."""
-    names = sorted(params)
     directory: dict[str, dict] = {}
     offset = 0
     blobs: list[bytes] = []
-    for name in names:
+    for name in sorted(params):
         data = params[name].data if isinstance(params[name], Tensor) else params[name]
         arr = np.ascontiguousarray(data, dtype="<f4")
         blob = arr.tobytes()
@@ -52,14 +58,12 @@ def save_checkpoint(path: str | Path, config: EncoderConfig,
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as f:
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
+        f.writelines([struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], dict]:
+    """(config, arrays in `param_shapes` order, meta); any fault is one DataError."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -74,21 +78,38 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"checkpoint {path} has a corrupt header: {e}") from e
-    if header.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported checkpoint format version {header.get('format_version')!r}")
+    if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
+        raise DataError(f"checkpoint {path} is not of format version {FORMAT_VERSION}")
     try:
         config = EncoderConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"checkpoint {path} has an invalid config: {e}") from e
+    meta, directory = header.get("meta"), header.get("tensors")
+    if not isinstance(meta, dict) or not isinstance(directory, dict):
+        raise DataError(f"checkpoint {path} header must hold a meta object and a tensors object")
+    head_type = meta.get("head_type")
+    if head_type not in (None, *HEAD_WIDTHS):
+        raise DataError(f"checkpoint {path} names an unknown head type {head_type!r}")
+    schema = param_shapes(config, head_type)
+    dropped = param_shapes(config).keys() - schema.keys() if head_type else set()
     payload = raw[8 + header_len :]
-    tensors: dict[str, np.ndarray] = {}
-    for name, entry in header["tensors"].items():
-        start, size = entry["offset"], entry["size"]
-        if start + size > len(payload):
-            raise DataError(f"checkpoint {path}: tensor {name!r} overruns payload")
-        arr = np.frombuffer(payload[start : start + size], dtype="<f4").reshape(entry["shape"])
-        tensors[name] = arr.copy()  # writable, owned
-    return config, tensors, header.get("meta", {})
+    spans = {}
+    for name in [*schema, *sorted(directory.keys() - schema.keys() - dropped)]:
+        if name not in schema or name not in directory:
+            raise DataError(f"checkpoint {path} lacks tensor {name!r}" if name in schema else
+                            f"checkpoint {path} holds tensor {name!r}, which its model lacks")
+        entry, shape = directory[name], list(schema[name])
+        nbytes = 4 * np.prod(shape, dtype=object)  # Python ints, which cannot wrap
+        if not (isinstance(entry, dict) and entry.get("shape") == shape
+                and entry.get("size") == nbytes and type(entry.get("offset")) is int
+                and 0 <= entry["offset"] <= len(payload) - nbytes):
+            raise DataError(f"checkpoint {path}: tensor {name!r} has entry {entry}, but its "
+                            f"model needs shape {shape}, {nbytes} bytes within {len(payload)}")
+        spans[name] = entry["offset"], nbytes
+    tensors = {name: np.frombuffer(payload[start : start + nbytes], dtype="<f4")
+               .reshape(schema[name]).copy()  # writable, owned
+               for name, (start, nbytes) in spans.items()}
+    return config, tensors, meta
 
 
 def check_inputs_fit(config: EncoderConfig, path: str | Path, vocab_size: int, seq_len: int):
@@ -102,9 +123,14 @@ def check_inputs_fit(config: EncoderConfig, path: str | Path, vocab_size: int, s
                         f"{config.max_seq_len} of checkpoint {path}")
 
 
+def check_head(path: str | Path, meta: dict, head_type: str | None):
+    """Refuse, as a DataError, a checkpoint whose meta head type is not `head_type`."""
+    held, needed = (f"a {t} head" if t else "no head" for t in (meta.get("head_type"), head_type))
+    if held != needed:
+        raise DataError(f"checkpoint {path} holds {held}, but this command needs {needed}")
+
+
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
     """Trainable tensors over the arrays themselves, not copies: the arrays
     `load_checkpoint` returns are owned, and `TaskModel` copies what it trains."""
-    from collections import OrderedDict
-
-    return OrderedDict((k, Tensor(arrays[k], requires_grad=True)) for k in sorted(arrays))
+    return {k: Tensor(arrays[k], requires_grad=True) for k in sorted(arrays)}

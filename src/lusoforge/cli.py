@@ -34,8 +34,8 @@ from lusoforge import corpus as corpus_mod
 from lusoforge import finetune as ft
 from lusoforge import pretrain as pt
 from lusoforge import tokenizer as tok_mod
-from lusoforge.checkpoint import (check_inputs_fit, load_checkpoint, params_from_arrays,
-                                  save_checkpoint)
+from lusoforge.checkpoint import (check_head, check_inputs_fit, load_checkpoint,
+                                  params_from_arrays, save_checkpoint)
 from lusoforge.errors import DataError, LusoforgeError, NumericalError, UsageError
 from lusoforge.manifest import RunManifest
 
@@ -396,11 +396,8 @@ def _cmd_eval(args, file_cfg: dict, man: RunManifest, out: Path):
     _check_settings(fields)
     enc_config, arrays, meta = load_checkpoint(args.checkpoint)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    head_type = meta.get("head_type", spec.head_type)
-    if head_type != spec.head_type:
-        raise DataError(f"checkpoint {args.checkpoint} holds a {head_type} head but task "
-                        f"{spec.name} needs a {spec.head_type} head")
-    model = ft.load_task_model(enc_config, arrays, head_type)
+    check_head(args.checkpoint, meta, spec.head_type)
+    model = ft.load_task_model(enc_config, arrays, spec.head_type)
     check_inputs_fit(enc_config, args.checkpoint, tokenizer.vocab_size, fields["seq_len"])
     examples = _examples(args.data, spec)
     encoded, labels = ft.encode_examples(examples, tokenizer, fields["seq_len"])
@@ -545,6 +542,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as e:
             raise DataError(f"cannot create output directory {out}: {e}") from e
         command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        if handler in (_cmd_finetune, _cmd_eval):  # they train and score in this process
+            from lusoforge.workers import _one_blas_thread  # not at top: it loads multiprocessing
+            _one_blas_thread()
         handler(args, file_cfg, RunManifest(command, seed=seed, code_version=__version__), out)
         return 0
     except UsageError as e:

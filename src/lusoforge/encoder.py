@@ -20,12 +20,15 @@ their query stream starts at the encoder output H plus absolute position
 embeddings, every decoding layer attends over all of H as fixed keys and
 values and updates only that stream, and the result is projected onto the
 (tied) input embedding table.
+
+`param_shapes` declares the tensors of the pre-training and task models once:
+`init_params` draws in its order, `finetune.TaskModel` takes its tensors from
+it, and `checkpoint.load_checkpoint` refuses a checkpoint that disagrees.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -53,14 +56,16 @@ class EncoderConfig:
     layer_norm_eps: float = 1e-7
 
     def __post_init__(self):
+        for f in fields(self):  # a checkpoint's config comes from outside the program
+            value = getattr(self, f.name)
+            if f.type == "int" and not (type(value) is int and value >= 1):
+                raise UsageError(f"{f.name} must be an integer >= 1, got {value!r}")
+            if f.type == "float" and type(value) not in (int, float):
+                raise UsageError(f"{f.name} must be a number, got {value!r}")
         if self.hidden_size % self.num_heads != 0:
             raise ShapeError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )
-        if self.relative_window < 1:
-            raise UsageError("relative_window must be >= 1")
-        if self.emd_layers < 1:
-            raise UsageError("emd_layers must be >= 1")
         if self.conv_kernel_size % 2 != 1:
             raise UsageError("conv_kernel_size must be odd")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -101,54 +106,48 @@ def bucket_matrix(seq_len: int, k: int) -> np.ndarray:
 # parameters
 
 
-def init_params(config: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> "OrderedDict[str, Tensor]":
-    """Fresh parameter dict: normal(0, 0.02) matrices, zero biases, unit gains."""
-    h, f = config.hidden_size, config.ffn_size
-    p: OrderedDict[str, Tensor] = OrderedDict()
+HEAD_WIDTHS = {"regression": 1, "binary_classification": 2}
 
-    def mat(name, shape):
-        p[name] = Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True, dtype=dtype)
 
-    def zeros(name, shape):
-        p[name] = Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
-
-    def ones(name, shape):
-        p[name] = Tensor(np.ones(shape), requires_grad=True, dtype=dtype)
-
-    mat("embed.tokens", (config.vocab_size, h))
-    mat("embed.segments", (config.num_segments, h))
-    ones("embed.ln.gain", (h,))
-    zeros("embed.ln.bias", (h,))
-    mat("relpos.table", (2 * config.relative_window, h))
-    mat("abspos.table", (config.max_seq_len, h))
-    mat("conv.kernel", (config.conv_kernel_size, h, h))
-    zeros("conv.bias", (h,))
-
-    def block(prefix: str):
+def param_shapes(config: EncoderConfig, head_type: str | None = None) -> dict[str, tuple]:
+    """The ordered {name: shape} of a model. With no head type it is the
+    pre-training model: the encoder, `abspos.table` and the decoder layers
+    `emd{j}`. With one, it is the task model: the encoder and a linear head,
+    `head.w` [h, width] and `head.b` [width], its width from HEAD_WIDTHS."""
+    h, f, task = config.hidden_size, config.ffn_size, head_type is not None
+    shapes = {"embed.tokens": (config.vocab_size, h), "embed.segments": (config.num_segments, h),
+              "embed.ln.gain": (h,), "embed.ln.bias": (h,),
+              "relpos.table": (2 * config.relative_window, h),
+              **({} if task else {"abspos.table": (config.max_seq_len, h)}),
+              "conv.kernel": (config.conv_kernel_size, h, h), "conv.bias": (h,)}
+    blocks = [f"layer{i}" for i in range(config.num_layers)]
+    if not task:
+        blocks += [f"emd{j}" for j in range(config.emd_layers)]
+    for prefix in blocks:
         for name in ("wq", "wk", "wv", "wo"):
-            mat(f"{prefix}.attn.{name}", (h, h))
-        for name in ("bq", "bk", "bv", "bo"):
-            zeros(f"{prefix}.attn.{name}", (h,))
-        ones(f"{prefix}.attn.ln.gain", (h,))
-        zeros(f"{prefix}.attn.ln.bias", (h,))
-        mat(f"{prefix}.ffn.w1", (h, f))
-        zeros(f"{prefix}.ffn.b1", (f,))
-        mat(f"{prefix}.ffn.w2", (f, h))
-        zeros(f"{prefix}.ffn.b2", (h,))
-        ones(f"{prefix}.ffn.ln.gain", (h,))
-        zeros(f"{prefix}.ffn.ln.bias", (h,))
-
-    for i in range(config.num_layers):
-        block(f"layer{i}")
-    for j in range(config.emd_layers):
-        block(f"emd{j}")
-    return p
+            shapes[f"{prefix}.attn.{name}"] = (h, h)
+        for name in ("bq", "bk", "bv", "bo", "ln.gain", "ln.bias"):
+            shapes[f"{prefix}.attn.{name}"] = (h,)
+        for name, shape in (("w1", (h, f)), ("b1", (f,)), ("w2", (f, h)), ("b2", (h,)),
+                            ("ln.gain", (h,)), ("ln.bias", (h,))):
+            shapes[f"{prefix}.ffn.{name}"] = shape
+    if task:
+        shapes.update({"head.w": (h, HEAD_WIDTHS[head_type]), "head.b": (HEAD_WIDTHS[head_type],)})
+    return shapes
 
 
-def is_emd_param(name: str) -> bool:
-    """True for tensors that only masked-token prediction reads: the
-    absolute-position table and the enhanced-mask-decoder layers."""
-    return name == "abspos.table" or name.startswith("emd")
+def init_tensor(name: str, shape: tuple, rng: np.random.Generator, dtype) -> Tensor:
+    """A fresh trainable tensor: normal(0, 0.02) with two or more dimensions,
+    else ones for a gain and zeros for any other vector."""
+    data = (rng.normal(0.0, 0.02, size=shape) if len(shape) > 1
+            else np.ones(shape) if name.endswith("gain") else np.zeros(shape))
+    return Tensor(data, requires_grad=True, dtype=dtype)
+
+
+def init_params(config: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+    """Fresh pre-training parameters, drawn in `param_shapes` order."""
+    return {name: init_tensor(name, shape, rng, dtype)
+            for name, shape in param_shapes(config).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from lusoforge import autodiff as ad
 from lusoforge import metrics as met
 from lusoforge import tokenizer as tok_mod
 from lusoforge.autodiff import Tensor
-from lusoforge.encoder import DisentangledEncoder, EncoderConfig, is_emd_param
+from lusoforge.encoder import DisentangledEncoder, EncoderConfig, init_tensor, param_shapes
 from lusoforge.errors import DataError, UsageError
 from lusoforge.optim import Adam
 
@@ -183,26 +183,18 @@ def full_grid() -> list[GridPoint]:
 class TaskModel:
     """Encoder + freshly seeded linear head over the CLS representation.
 
-    Only encoder tensors are copied in: the mask decoder's tensors get no
-    gradient from a task head, so they are left out of the model, its
-    optimizer state and its checkpoint.
+    Its tensors are `param_shapes(config, head_type)`: the encoder's copied
+    in, the head's drawn from `seed`. The mask decoder gets no gradient from a
+    task head, so the model, its optimizer state and its checkpoint omit it.
     """
 
     def __init__(self, enc_config: EncoderConfig, enc_params: dict[str, Tensor],
                  head_type: str, dropout: float, seed: int):
-        from collections import OrderedDict
-
         cfg = replace(enc_config, dropout_rate=dropout)
-        params: OrderedDict[str, Tensor] = OrderedDict(
-            (k, Tensor(v.data.copy(), requires_grad=True))
-            for k, v in enc_params.items() if not is_emd_param(k)
-        )
-        h = cfg.hidden_size
-        out_dim = 1 if head_type == "regression" else 2
         head_rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
-        params["head.w"] = Tensor(head_rng.normal(0.0, 0.02, size=(h, out_dim)),
-                                  requires_grad=True, dtype=np.float32)
-        params["head.b"] = Tensor(np.zeros(out_dim), requires_grad=True, dtype=np.float32)
+        params = {name: init_tensor(name, shape, head_rng, np.float32) if name.startswith("head.")
+                  else Tensor(enc_params[name].data.copy(), requires_grad=True)
+                  for name, shape in param_shapes(cfg, head_type).items()}
         self.config = cfg
         self.head_type = head_type
         self.params = params
@@ -222,20 +214,11 @@ def attach_head(enc_config: EncoderConfig, enc_params: dict[str, Tensor],
 
 def load_task_model(enc_config: EncoderConfig, arrays: dict[str, np.ndarray],
                     head_type: str) -> TaskModel:
-    """Rebuild a fine-tuned model (encoder + head) from checkpoint arrays; a
-    head of another shape than `head_type`'s is a DataError.
-    Decoder tensors that older fine-tuned checkpoints still hold are dropped.
-    `TaskModel` copies the encoder arrays; the head takes its float32 arrays
-    as they are."""
-    if "head.w" not in arrays or "head.b" not in arrays:
-        raise DataError("checkpoint has no task head; fine-tune first")
-    shape = (enc_config.hidden_size, 1 if head_type == "regression" else 2)
-    if arrays["head.w"].shape != shape or arrays["head.b"].shape != shape[1:]:
-        raise DataError(f"checkpoint head has shapes {arrays['head.w'].shape} and "
-                        f"{arrays['head.b'].shape}, but a {head_type} head needs "
-                        f"{shape} and {shape[1:]}")
-    enc_arrays = {k: Tensor(v) for k, v in arrays.items() if not k.startswith("head.")}
-    model = TaskModel(enc_config, enc_arrays, head_type, dropout=0.0, seed=0)
+    """Rebuild a fine-tuned model from the arrays `load_checkpoint` checked
+    against `param_shapes(enc_config, head_type)`. `TaskModel` copies the
+    encoder arrays; the head takes its float32 arrays as they are."""
+    model = TaskModel(enc_config, {k: Tensor(v) for k, v in arrays.items()}, head_type,
+                      dropout=0.0, seed=0)
     model.params["head.w"].data = np.asarray(arrays["head.w"], dtype=np.float32)
     model.params["head.b"].data = np.asarray(arrays["head.b"], dtype=np.float32)
     return model
@@ -417,24 +400,11 @@ class MetricsReport:
     n_failed: int
 
     def to_json(self) -> str:
-        payload = {
-            "task": self.task,
-            "metric": self.metric,
-            "runs": [asdict(r) for r in self.runs],
-            "configs": [
-                {
-                    "dropout": c.dropout, "lr": c.lr, "precision": c.precision,
-                    "dev_scores": c.dev_scores, "dev_mean": c.dev_mean,
-                    "test_scores": c.test_scores, "test_mean": c.test_mean,
-                    "n_failed": c.n_failed,
-                }
-                for c in self.configs
-            ],
-            "selected_config": self.selected_config,
-            "reported_test_score": self.reported_test_score,
-            "n_failed": self.n_failed,
-        }
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        """Every field, each config row also with its dev and test means."""
+        configs = [{**asdict(c), "dev_mean": c.dev_mean, "test_mean": c.test_mean}
+                   for c in self.configs]
+        return json.dumps({**asdict(self), "configs": configs}, ensure_ascii=False,
+                          sort_keys=True, indent=2) + "\n"
 
 
 def group_runs(records: Sequence[RunRecord]) -> list[ConfigRow]:
@@ -456,13 +426,8 @@ def group_runs(records: Sequence[RunRecord]) -> list[ConfigRow]:
 def select_config(rows: Sequence[ConfigRow]) -> ConfigRow | None:
     """Argmax of mean dev score; earliest row wins ties. Rows with no
     successful runs are not eligible."""
-    best: ConfigRow | None = None
-    for row in rows:
-        if row.dev_mean is None:
-            continue
-        if best is None or row.dev_mean > best.dev_mean:
-            best = row
-    return best
+    return max((row for row in rows if row.dev_mean is not None), key=lambda row: row.dev_mean,
+               default=None)
 
 
 def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: TaskSpec,
@@ -547,8 +512,7 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
 
     rows = group_runs(records)
     best = select_config(rows)
-    selected = None
-    reported = None
+    selected = reported = None
     if best is not None:
         selected = {"dropout": best.dropout, "lr": best.lr, "precision": best.precision,
                     "dev_mean": best.dev_mean}

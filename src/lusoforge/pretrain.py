@@ -34,8 +34,8 @@ import numpy as np
 
 from lusoforge import autodiff as ad
 from lusoforge import tokenizer as tok_mod
-from lusoforge.checkpoint import (check_inputs_fit, load_checkpoint, params_from_arrays,
-                                  save_checkpoint)
+from lusoforge.checkpoint import (check_head, check_inputs_fit, load_checkpoint,
+                                  params_from_arrays, save_checkpoint)
 from lusoforge.encoder import PRESETS, DisentangledEncoder, EncoderConfig, init_params, preset
 from lusoforge.errors import DataError, NumericalError, UsageError
 from lusoforge.optim import Adam
@@ -371,14 +371,15 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
     worker outlives the call.
 
     With init_checkpoint, training starts from that checkpoint's config and
-    arrays; a given dropout_rate replaces the stored one. A tokenizer of
-    another vocabulary size, or a seq_len above the checkpoint's
-    max_seq_len, is refused before the corpus is tokenized.
+    arrays; a given dropout_rate replaces the stored one. A fine-tuned
+    checkpoint, a tokenizer of another vocabulary size, or a seq_len above
+    the checkpoint's max_seq_len is refused before the corpus is tokenized.
     """
     root = np.random.SeedSequence(config.seed)
     init_ss, mask_ss, shuffle_ss, dropout_ss = root.spawn(4)
     if config.init_checkpoint:
-        enc_config, arrays, _ = load_checkpoint(config.init_checkpoint)
+        enc_config, arrays, meta = load_checkpoint(config.init_checkpoint)
+        check_head(config.init_checkpoint, meta, None)
         check_inputs_fit(enc_config, config.init_checkpoint, tokenizer.vocab_size,
                          config.seq_len)
         if config.dropout_rate is not None:

@@ -270,20 +270,29 @@ def save_tokenizer(model: TokenizerModel, path: str | Path):
 
 
 def load_tokenizer(path: str | Path) -> TokenizerModel:
+    """The tokenizer saved at `path`. Any fault of the file, such as a missing
+    field, an id outside the vocabulary, no UNK special or a merge that is not
+    a pair of strings, is one DataError naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read tokenizer file {path}: {e}") from e
-    if payload.get("version") != FORMAT_VERSION:
-        raise DataError(f"unsupported tokenizer format version {payload.get('version')!r}")
-    merges = [tuple(p) for p in payload["merges"]]
-    vocab = payload["vocab"]
-    for left, right in merges:
-        if left + right not in vocab:
-            raise DataError(f"merge output {left + right!r} missing from vocab")
-    return TokenizerModel(
-        vocab=vocab,
-        merges=merges,
-        specials=payload["specials"],
-        marker=payload.get("marker", MARKER),
-    )
+    if not isinstance(payload, dict) or payload.get("version") != FORMAT_VERSION:
+        raise DataError(f"tokenizer file {path} is not a JSON object of format version "
+                        f"{FORMAT_VERSION}")
+    vocab, merges, specials = (payload.get(k) for k in ("vocab", "merges", "specials"))
+    n = len(vocab) if isinstance(vocab, dict) else 0
+    for key, ids in (("vocab", vocab), ("specials", specials)):
+        if not (isinstance(ids, dict) and all(type(i) is int and 0 <= i < n for i in ids.values())):
+            raise DataError(f"tokenizer file {path}: {key} must map tokens to integer ids "
+                            f"below the vocabulary size {n}")
+    if "UNK" not in specials:
+        raise DataError(f"tokenizer file {path}: specials lack UNK")
+    for pair in merges if isinstance(merges, list) else [merges]:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(t, str) for t in pair)):
+            raise DataError(f"tokenizer file {path}: merges must be a list of string pairs")
+        if "".join(pair) not in vocab:
+            raise DataError(f"tokenizer file {path}: merge {pair} makes no vocab entry")
+    return TokenizerModel(vocab=vocab, merges=[tuple(p) for p in merges], specials=specials,
+                          marker=payload.get("marker", MARKER))

@@ -7,8 +7,8 @@ Each worker pins OpenBLAS to one thread, so the workers do not oversubscribe
 the cores they share. `shared_bytes` allocates memory that the caller and
 the workers it forks afterwards read and write alike.
 
-Only the pooled branches of `finetune.run_grid` and `pretrain.train` import
-this module, so a command that runs inline never loads `multiprocessing`.
+Only `finetune`, `eval` and the pooled branches of `finetune.run_grid` and
+`pretrain.train` import this module; no other command loads `multiprocessing`.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ def _run_job(*args):
 
 
 def _one_blas_thread():
-    """Give this worker one OpenBLAS thread. It calls the thread setter of
+    """Give this process one OpenBLAS thread. It calls the thread setter of
     each OpenBLAS the process has loaded (numpy's bundled
     `libscipy_openblas64_*.so`); with none found it changes nothing."""
-    import ctypes  # here, not at module top: only workers need it
+    import ctypes  # here, not at module top: only the pinned processes need it
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:

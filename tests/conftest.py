@@ -6,12 +6,37 @@ training, parameter init) and function-scoped where mutation is possible.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 
 from lusoforge.corpus import Document
 from lusoforge.encoder import init_params, preset
 from lusoforge.tokenizer import train_tokenizer
+
+
+@pytest.fixture(scope="session")
+def numpy_openblas():
+    """numpy's bundled OpenBLAS, or None where this process has not loaded it."""
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        paths = sorted({line.split(None, 5)[-1].strip() for line in f
+                        if "libscipy_openblas64_" in line})
+    lib = ctypes.CDLL(paths[0]) if paths else None
+    return lib if hasattr(lib, "scipy_openblas_get_num_threads64_") else None
+
+
+@pytest.fixture(autouse=True)
+def _blas_threads_restored(numpy_openblas):
+    """`finetune` and `eval` pin OpenBLAS to one thread for the rest of their
+    process, and the tests run them in this one: each test ends at the
+    thread count it started with, so no test runs under another's pin."""
+    if numpy_openblas is None:
+        yield
+        return
+    before = numpy_openblas.scipy_openblas_get_num_threads64_()
+    yield
+    numpy_openblas.scipy_openblas_set_num_threads64_(before)
 
 
 def synthetic_sentences(n: int, seed: int, n_words: int = 64) -> list[str]:

@@ -5,9 +5,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
+import struct
+import subprocess
+import sys
 import time
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from lusoforge.finetune import TASKS, synthetic_task_examples, write_task_tsv
 from lusoforge.pretrain import LossLog, LossLogEntry, TrainRunConfig
 
 RTE = TASKS["rte"]
+SRC = Path(lusoforge.__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -929,7 +935,7 @@ def test_eval_refuses_a_checkpoint_of_another_head_type(ws, tmp_path, monkeypatc
     capsys.readouterr()
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert _one_error_line(capsys) == [
-        f"data error: checkpoint {ckpt} holds a binary_classification head but task stsb "
+        f"data error: checkpoint {ckpt} holds a binary_classification head, but this command "
         "needs a regression head"]
 
 
@@ -942,9 +948,204 @@ def test_eval_refuses_a_head_of_the_wrong_width(ws, tmp_path, monkeypatch, capsy
     capsys.readouterr()
     argv = _task_call(ws, "eval", narrow, "--seq-len", "32")
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
-    assert _one_error_line(capsys) == [
-        "data error: checkpoint head has shapes (64, 1) and (1,), but a binary_classification "
-        "head needs (64, 2) and (2,)"]
+    [line] = _one_error_line(capsys)
+    assert re.fullmatch(
+        re.escape(f"data error: checkpoint {narrow}: tensor 'head.w' has entry ")
+        + r"\{'offset': \d+, 'shape': \[64, 1\], 'size': 256\}, but its model needs shape "
+        r"\[64, 2\], 512 bytes within \d+", line), line
+
+
+# ---------------------------------------------------------------------------
+# the failure matrix of the two artifact inputs, --checkpoint and --tokenizer
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy checkpoint `src` to `dst` with `edit(header)` applied to its JSON
+    header; the payload stays as it is."""
+    raw = src.read_bytes()
+    (n,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8 : 8 + n])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + n :])
+
+
+def _edit_arrays(src, dst, edit):
+    """Copy checkpoint `src` to `dst` with `edit(arrays)` applied to its tensors."""
+    config, arrays, meta = load_checkpoint(src)
+    edit(arrays)
+    save_checkpoint(dst, config, arrays, meta=meta)
+
+
+def _bad_checkpoint(form, good, ws, path):
+    """Write the `form` of a bad checkpoint at `path`, from checkpoint `good`;
+    return the text its error line must hold besides the path."""
+    if form == "missing":
+        return "cannot read checkpoint"
+    if form == "empty":
+        path.write_bytes(b"")
+    elif form == "truncated":
+        raw = good.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+    elif form == "wrong-kind":
+        path.write_bytes(ws["vocab"].read_bytes())
+    elif form == "lacks-a-tensor":
+        def edit(arrays):
+            del arrays["layer0.ffn.w2"]
+            arrays["stray.w"] = np.zeros(3, dtype=np.float32)
+        _edit_arrays(good, path, edit)
+        return "lacks tensor 'layer0.ffn.w2'"
+    elif form == "extra-tensor":
+        _edit_arrays(good, path, lambda a: a.update({"stray.w": np.zeros(3, dtype=np.float32)}))
+        return "holds tensor 'stray.w'"
+    elif form == "misshaped":
+        _edit_arrays(good, path, lambda a: a.update({"layer0.attn.wq": a["layer0.attn.wq"][:, :32]}))
+        return "'shape': [64, 32], 'size': 8192}, but its model needs shape [64, 64]"
+    elif form == "short-conv-bias":
+        _edit_arrays(good, path, lambda a: a.update({"conv.bias": np.zeros(7, dtype=np.float32)}))
+        return "'shape': [7], 'size': 28}, but its model needs shape [64]"
+    elif form == "size-inconsistent":
+        _rewrite_header(good, path, lambda h: h["tensors"]["embed.ln.bias"].update(size=252))
+        return "'size': 252}, but its model needs shape [64], 256 bytes"
+    elif form == "no-tensors":
+        _rewrite_header(good, path, lambda h: h.pop("tensors"))
+        return "tensors object"
+    elif form == "no-meta":
+        _rewrite_header(good, path, lambda h: h.pop("meta"))
+        return "meta object"
+    elif form == "float-hidden-size":
+        _rewrite_header(good, path, lambda h: h["config"].update(hidden_size=64.0))
+        return "invalid config: hidden_size must be an integer >= 1, got 64.0"
+    elif form == "float-num-layers":
+        _rewrite_header(good, path, lambda h: h["config"].update(num_layers=2.0))
+        return "invalid config: num_layers must be an integer >= 1, got 2.0"
+    elif form == "fine-tuned":
+        path.write_bytes((ws["fin"] / "model_finetuned.ckpt").read_bytes())
+        return "holds a binary_classification head, but this command needs no head"
+    elif form == "pre-training":
+        path.write_bytes((ws["pre"] / "model.ckpt").read_bytes())
+        return "holds no head, but this command needs a binary_classification head"
+    return ""
+
+
+def _bad_tokenizer(form, ws, path):
+    """Write the `form` of a bad tokenizer file at `path`; return the text
+    its error line must hold besides the path."""
+    good = json.loads(ws["vocab"].read_text(encoding="utf-8"))
+    if form == "missing":
+        return "cannot read tokenizer file"
+    if form == "empty":
+        path.write_text("", encoding="utf-8")
+    elif form == "truncated":
+        text = ws["vocab"].read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+    elif form == "wrong-kind":
+        path.write_bytes((ws["pre"] / "model.ckpt").read_bytes())
+    elif form == "array":
+        path.write_text("[1, 2]", encoding="utf-8")
+        return "is not a JSON object of format version 1"
+    elif form == "version-only":
+        path.write_text('{"version": 1}', encoding="utf-8")
+        return "vocab must map tokens to integer ids"
+    elif form == "no-specials":
+        del good["specials"]
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return "specials must map tokens to integer ids"
+    elif form == "one-element-merge":
+        good["merges"][3] = good["merges"][3][:1]
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return "merges must be a list of string pairs"
+    elif form == "text-id":
+        good["vocab"]["<cls>"] = "2"
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return "vocab must map tokens to integer ids"
+    elif form == "id-past-the-vocabulary":
+        good["vocab"]["<cls>"] = len(good["vocab"])
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return f"vocab must map tokens to integer ids below the vocabulary size {len(good['vocab'])}"
+    elif form == "special-past-the-vocabulary":
+        good["specials"]["MASK"] = 999
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return "specials must map tokens to integer ids below the vocabulary size"
+    elif form == "no-unk":
+        del good["specials"]["UNK"]
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return "specials lack UNK"
+    return ""
+
+
+_FORMS = ("missing", "empty", "truncated", "wrong-kind")
+_CHECKPOINT_FORMS = _FORMS + ("lacks-a-tensor", "extra-tensor", "misshaped", "short-conv-bias",
+                              "size-inconsistent", "no-tensors", "no-meta", "float-hidden-size",
+                              "float-num-layers")
+_TOKENIZER_FORMS = _FORMS + ("array", "version-only", "no-specials", "one-element-merge",
+                             "text-id", "id-past-the-vocabulary", "special-past-the-vocabulary",
+                             "no-unk")
+_ARTIFACT_COMMANDS = ("finetune", "sweep", "eval", "pretrain")
+_MATRIX = ([(c, "checkpoint", f) for c in _ARTIFACT_COMMANDS for f in _CHECKPOINT_FORMS]
+           + [(c, "tokenizer", f) for c in _ARTIFACT_COMMANDS for f in _TOKENIZER_FORMS]
+           + [("pretrain", "checkpoint", "fine-tuned"), ("eval", "checkpoint", "pre-training")])
+
+
+@pytest.mark.parametrize("command, artifact, form", _MATRIX,
+                         ids=["-".join(case) for case in _MATRIX])
+def test_a_bad_artifact_is_one_data_error_line_before_any_work(ws, tmp_path, monkeypatch,
+                                                               capsys, command, artifact, form):
+    good = ws["fin"] / "model_finetuned.ckpt" if command == "eval" else ws["pre"] / "model.ckpt"
+    checkpoint, tokenizer = good, ws["vocab"]
+    bad = tmp_path / f"bad-{artifact}"
+    if artifact == "checkpoint":
+        checkpoint, must_hold = bad, _bad_checkpoint(form, good, ws, bad)
+    else:
+        tokenizer, must_hold = bad, _bad_tokenizer(form, ws, bad)
+    if command == "pretrain":
+        argv = ["pretrain", "--input", str(ws["filtered"]), "--tokenizer", str(tokenizer),
+                "--init-checkpoint", str(checkpoint), "--seq-len", "32", "--warmup-steps", "1",
+                "--total-steps", "2"]
+    else:
+        argv = _task_call(ws, command, checkpoint, "--seq-len", "32")
+        argv[argv.index("--tokenizer") + 1] = str(tokenizer)
+    _no_work(monkeypatch, "pt.tokenize_corpus", *_TASK_WORK)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    lines = _one_error_line(capsys)
+    assert len(lines) == 1 and lines[0].startswith("data error:"), lines
+    assert str(bad) in lines[0] and must_hold in lines[0], lines
+
+
+def test_finetune_and_eval_pin_one_blas_thread(ws, tmp_path, monkeypatch):
+    import lusoforge.workers as workers
+
+    calls = []
+    monkeypatch.setattr(workers, "_one_blas_thread", lambda: calls.append(len(calls)))
+    out = tmp_path / "fin"
+    assert cli.main(_task_call(ws, "finetune", ws["pre"] / "model.ckpt", "--seq-len", "32",
+                               "--out", str(out))) == 0
+    assert calls == [0]
+    assert cli.main(_task_call(ws, "eval", out / "model_finetuned.ckpt", "--seq-len", "32",
+                               "--out", str(out / "eval"))) == 0
+    assert calls == [0, 1]
+
+
+def test_finetune_writes_the_same_bytes_at_any_blas_thread_count(ws, tmp_path):
+    # batches of 64 at seq_len 64 make GEMMs that OpenBLAS splits over two
+    # threads, which rounds the fine-tuned weights differently unless pinned
+    train = tmp_path / "train.tsv"
+    write_task_tsv(synthetic_task_examples(RTE, 96, seed=32), train, RTE)
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        argv = _task_call(ws, "finetune", ws["pre"] / "model.ckpt", "--seq-len", "64",
+                          "--batch-size", "64", "--lr", "1e-3", "--seed", "41", "--out", str(out))
+        argv[argv.index("--train") + 1] = str(train)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "lusoforge.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append([hashlib.sha256((out / n).read_bytes()).hexdigest()
+                        for n in ("model_finetuned.ckpt", "finetune_report.json")])
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("flag, content", [

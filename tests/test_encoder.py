@@ -7,6 +7,8 @@ library's vectorized path cannot hide.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from gradcheck import check_gradients
@@ -27,6 +29,7 @@ from lusoforge.encoder import (
     encoder_forward,
     enhanced_mask_decode,
     init_params,
+    param_shapes,
     preset,
     standard_attention,
 )
@@ -676,3 +679,30 @@ def test_init_params_deterministic_per_seed():
     b = init_params(cfg, np.random.default_rng(np.random.SeedSequence(5)))
     for k in a:
         np.testing.assert_array_equal(a[k].data, b[k].data)
+
+
+@pytest.mark.parametrize("name, tensors, entries, digest", [
+    ("micro", 56, 185_088, "094ecbada0b5e27e27af611a424efce146bc8011f250bcc8669cf2b44d0cdf6b"),
+    ("tiny", 88, 2_114_304, "a8bad5257d43d4dc0a81a9cbf6d33d153a162dbd1ef51d46db051a5e1fd7afeb"),
+])
+def test_fresh_parameters_keep_their_bytes(name, tensors, entries, digest):
+    # the benchmark's sweep checkpoint comes from init_params, so a change to
+    # the schema's order or to a draw must change these values on purpose
+    params = init_params(preset(name), np.random.default_rng(0))
+    h = hashlib.sha256()
+    for key, p in params.items():
+        h.update(key.encode())
+        h.update(repr(tuple(p.shape)).encode())
+        h.update(p.data.tobytes())
+    assert (len(params), sum(p.data.size for p in params.values())) == (tensors, entries)
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("head_type, width", [("regression", 1), ("binary_classification", 2)])
+def test_a_task_model_is_the_encoder_and_a_head(head_type, width):
+    cfg = small_config()
+    pretraining = param_shapes(cfg)
+    shapes = param_shapes(cfg, head_type)
+    assert list(shapes) == [k for k in pretraining if not k.startswith(("abspos.", "emd"))] + [
+        "head.w", "head.b"]
+    assert shapes["head.w"] == (cfg.hidden_size, width) and shapes["head.b"] == (width,)

@@ -17,7 +17,8 @@ from oracles import task_forward_reference
 
 import lusoforge.finetune as ft
 from lusoforge import tokenizer as tok_mod
-from lusoforge.encoder import init_params, is_emd_param, preset
+from lusoforge.checkpoint import load_checkpoint, save_checkpoint
+from lusoforge.encoder import init_params, param_shapes, preset
 from lusoforge.errors import DataError
 from lusoforge.finetune import (
     GRID_SEEDS,
@@ -353,10 +354,11 @@ def test_attach_head_sets_dropout(task_micro):
 
 def test_task_model_carries_encoder_only(task_micro):
     cfg, params = task_micro
-    assert any(is_emd_param(k) for k in params)
     model = attach_head(cfg, params, "binary_classification", seed=0)
     assert not [k for k in model.params if k.startswith(("abspos.", "emd"))]
-    assert set(model.params) == {k for k in params if not is_emd_param(k)} | {"head.w", "head.b"}
+    schema = param_shapes(cfg, "binary_classification")
+    assert list(model.params) == list(schema)
+    assert {k: p.shape for k, p in model.params.items()} == schema
 
 
 def task_batch(vocab_size, s, seed=0):
@@ -399,22 +401,28 @@ def test_task_model_training_forward_draws_dropout_as_the_full_graph():
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
-def test_load_task_model_accepts_decoder_tensors(task_micro):
-    # fine-tuned checkpoints written before the decoder was dropped still hold it
+def test_load_task_model_accepts_decoder_tensors(task_micro, tmp_path):
+    # fine-tuned checkpoints written before the decoder was dropped still hold
+    # it: the loader drops those tensors
     cfg, params = task_micro
     arrays = {k: v.data.copy() for k, v in params.items()}
     arrays["head.w"] = np.ones((cfg.hidden_size, 2), dtype=np.float32)
     arrays["head.b"] = np.zeros(2, dtype=np.float32)
-    model = load_task_model(cfg, arrays, "binary_classification")
-    assert not [k for k in model.params if is_emd_param(k)]
+    save_checkpoint(tmp_path / "old.ckpt", cfg, arrays, meta={"head_type": "binary_classification"})
+    _, loaded, _ = load_checkpoint(tmp_path / "old.ckpt")
+    assert list(loaded) == list(param_shapes(cfg, "binary_classification"))
+    model = load_task_model(cfg, loaded, "binary_classification")
+    assert list(model.params) == list(param_shapes(cfg, "binary_classification"))
     assert np.array_equal(model.params["head.w"].data, arrays["head.w"])
 
 
-def test_load_task_model_requires_head(task_micro):
+def test_load_task_model_requires_head(task_micro, tmp_path):
+    # a checkpoint whose meta names a head type must hold that head
     cfg, params = task_micro
     arrays = {k: v.data.copy() for k, v in params.items()}
-    with pytest.raises(DataError, match="head"):
-        load_task_model(cfg, arrays, "regression")
+    save_checkpoint(tmp_path / "headless.ckpt", cfg, arrays, meta={"head_type": "regression"})
+    with pytest.raises(DataError, match="lacks tensor 'head.w'"):
+        load_checkpoint(tmp_path / "headless.ckpt")
 
 
 def test_load_task_model_round_trip(task_micro, task_tokenizer, small_splits):
