@@ -131,6 +131,7 @@ def check_head(path: str | Path, meta: dict, head_type: str | None):
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """Trainable tensors over the arrays themselves, not copies: the arrays
+    """Trainable tensors over the arrays themselves, not copies, in their
+    order (`param_shapes` order, as `init_params` draws): the arrays
     `load_checkpoint` returns are owned, and `TaskModel` copies what it trains."""
-    return {k: Tensor(arrays[k], requires_grad=True) for k in sorted(arrays)}
+    return {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}

@@ -9,7 +9,9 @@ every other command's its `*_SETTINGS` dict below. A setting's flag is
 `--dedup`/`--no-dedup`, `--near-dups`) are written out by hand, and
 `dev_fraction`, `near_dup_jaccard`, `near_dup_ngram` and `thresholds` are
 config-file only. Every setting resolves as CLI flag > config file >
-built-in default, and each resolution is logged.
+built-in default, and each resolution is logged. A config-file key that is
+none of the command's settings, `seed` or (`corpus filter`) `thresholds` is
+a usage error.
 
 `main` loads the config file, resolves the seed, creates the output
 directory and starts the run's RunManifest, so its `started_at` precedes
@@ -84,15 +86,15 @@ def _add_settings(p: _Parser, settings: dict):
                            choices=_CHOICES.get(name), default=None)
 
 
-def _load_config_file(path: Path | None) -> dict:
-    if path is None:
-        return {}
+def _read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in the file at `path`, or one DataError naming the file
+    as `what`: unreadable, not UTF-8, not JSON, or not an object."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read config file {path}: {e}") from e
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from e
     if not isinstance(obj, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
+        raise DataError(f"{what} {path} must hold a JSON object")
     return obj
 
 
@@ -251,9 +253,8 @@ def _cmd_corpus_filter(args, file_cfg: dict, man: RunManifest, out: Path):
 
 
 def _cmd_corpus_stats(args, file_cfg: dict, man: RunManifest, out: Path):
-    docs = corpus_mod.read_jsonl(args.input)
     tokenizer = tok_mod.load_tokenizer(args.tokenizer) if args.tokenizer else None
-    report = corpus_mod.corpus_stats(docs, tokenizer)
+    report = corpus_mod.corpus_stats(corpus_mod.read_jsonl(args.input), tokenizer)
     path = out / "stats_report.json"
     path.write_text(report.to_json(), encoding="utf-8")
     _write_manifest(man, out, {"tokenizer": str(args.tokenizer) if args.tokenizer else None},
@@ -281,8 +282,8 @@ def _cmd_pretrain(args, file_cfg: dict, man: RunManifest, out: Path):
             raise UsageError("preset cannot be set with init_checkpoint: "
                              "the checkpoint fixes the model")
         recorded["preset"] = None
-    docs = corpus_mod.read_jsonl(args.input)
-    _, losslog = pt.train(config, docs, tok_mod.load_tokenizer(args.tokenizer))
+    tokenizer = tok_mod.load_tokenizer(args.tokenizer)
+    _, losslog = pt.train(config, corpus_mod.read_jsonl(args.input), tokenizer)
     emit_loss_curve(losslog, out / "loss_curve.csv", out / "loss_curve.svg")
     _write_manifest(man, out, recorded, [args.input, args.tokenizer, config.init_checkpoint],
                     [out / n for n in ("model.ckpt", "loss_log.csv", "loss_curve.csv",
@@ -421,14 +422,11 @@ def _cmd_report(args, file_cfg: dict, man: RunManifest, out: Path):
         outputs += [out / "loss_curve.csv", out / "loss_curve.svg"]
         print(f"rendered {len(losslog)} log records -> {out / 'loss_curve.svg'}")
     if args.metrics:
-        try:
-            payload = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read metrics report {args.metrics}: {e}") from e
-        if not (isinstance(payload, dict) and isinstance(payload.get("task"), str)
+        payload = _read_json_object(args.metrics, "metrics report")
+        if not (isinstance(payload.get("task"), str)
                 and type(payload.get("reported_test_score", "")) in (int, float, type(None))):
-            raise DataError(f"metrics report {args.metrics} must be a JSON object holding a "
-                            "task name and a numeric or null reported_test_score")
+            raise DataError(f"metrics report {args.metrics} must hold a task name and a "
+                            "numeric or null reported_test_score")
         pair = (payload["task"], payload["reported_test_score"])
         (out / "summary.csv").write_text(ft.report_csv_summary([pair]), encoding="utf-8")
         outputs.append(out / "summary.csv")
@@ -440,12 +438,13 @@ def _cmd_report(args, file_cfg: dict, man: RunManifest, out: Path):
 # parser assembly
 
 
-def _finish(p: _Parser, handler):
-    """The flags every command takes, after its own, and its handler."""
+def _finish(p: _Parser, handler, config_keys=()):
+    """The flags every command takes, after its own, its handler, and the
+    keys its config file may hold: `config_keys` and seed."""
     p.add_argument("--config", type=Path, default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
     p.add_argument("--out", type=Path, default=None, help="output directory (default .)")
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=handler, config_keys=sorted({*config_keys, "seed"}))
 
 
 def _add_task_inputs(p: _Parser):
@@ -469,7 +468,7 @@ def build_parser() -> _Parser:
     cf.add_argument("--dedup", dest="deduplicate", action="store_true", default=None)
     cf.add_argument("--no-dedup", dest="deduplicate", action="store_false")
     cf.add_argument("--near-dups", dest="near_duplicates", action="store_true", default=None)
-    _finish(cf, _cmd_corpus_filter)
+    _finish(cf, _cmd_corpus_filter, [*_FILTER_SETTINGS, "thresholds"])
 
     cs = corpus_sub.add_parser("stats", help="composition statistics")
     cs.add_argument("--input", type=Path, required=True)
@@ -482,13 +481,13 @@ def build_parser() -> _Parser:
     tt = tk_sub.add_parser("train", help="learn a vocabulary")
     tt.add_argument("--input", type=Path, required=True, help="input JSONL")
     _add_settings(tt, _TOKENIZER_SETTINGS)
-    _finish(tt, _cmd_tokenizer_train)
+    _finish(tt, _cmd_tokenizer_train, _TOKENIZER_SETTINGS)
 
     pr = sub.add_parser("pretrain", help="masked-language-model pre-training")
     pr.add_argument("--input", type=Path, required=True, help="corpus JSONL")
     pr.add_argument("--tokenizer", type=Path, required=True, help="vocab.json")
     _add_settings(pr, _PRETRAIN_SETTINGS)
-    _finish(pr, _cmd_pretrain)
+    _finish(pr, _cmd_pretrain, _PRETRAIN_SETTINGS)
 
     fe = sub.add_parser("finetune", help="fine-tune one grid point")
     _add_task_inputs(fe)
@@ -496,7 +495,7 @@ def build_parser() -> _Parser:
     fe.add_argument("--dev", type=Path, default=None,
                     help="dev split TSV (default: 10%% carved from train)")
     _add_settings(fe, _FINETUNE_SETTINGS)
-    _finish(fe, _cmd_finetune)
+    _finish(fe, _cmd_finetune, _FINETUNE_SETTINGS)
 
     sw = sub.add_parser("sweep", help="hyperparameter grid over a task")
     _add_task_inputs(sw)
@@ -504,13 +503,13 @@ def build_parser() -> _Parser:
     sw.add_argument("--dev", type=Path, default=None)
     sw.add_argument("--test", type=Path, required=True)
     _add_settings(sw, _SWEEP_SETTINGS)
-    _finish(sw, _cmd_sweep)
+    _finish(sw, _cmd_sweep, _SWEEP_SETTINGS)
 
     ev = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint")
     _add_task_inputs(ev)
     ev.add_argument("--data", type=Path, required=True, help="evaluation TSV")
     _add_settings(ev, _EVAL_SETTINGS)
-    _finish(ev, _cmd_eval)
+    _finish(ev, _cmd_eval, _EVAL_SETTINGS)
 
     rp = sub.add_parser("report", help="render artifacts from existing logs")
     rp.add_argument("--loss-log", dest="loss_log", type=Path, default=None)
@@ -525,6 +524,7 @@ def main(argv: list[str] | None = None) -> int:
                         stream=sys.stderr)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
+    args = None
     try:
         if not argv:
             parser.print_usage(sys.stderr)
@@ -534,7 +534,11 @@ def main(argv: list[str] | None = None) -> int:
         if handler is None:
             parser.print_usage(sys.stderr)
             return 1
-        file_cfg = _load_config_file(args.config)
+        file_cfg = _read_json_object(args.config, "config file") if args.config else {}
+        unknown = sorted(file_cfg.keys() - set(args.config_keys))
+        if unknown:
+            raise UsageError(f"config file {args.config} has unknown keys {unknown}; "
+                             f"this command takes {args.config_keys}")
         seed = args.seed if args.seed is not None else _cast("seed", file_cfg.get("seed", 0), int)
         out = args.out if args.out is not None else Path(".")
         try:
@@ -549,7 +553,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        if args is None:  # a command-line error, not a setting's
+            parser.print_usage(sys.stderr)
         return 1
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)

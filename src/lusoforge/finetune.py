@@ -96,7 +96,7 @@ def read_task_tsv(path: str | Path, spec: TaskSpec) -> list[TaskExample]:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read task file {path}: {e}") from e
     if not lines or lines[0].split("\t") != ["sentence_a", "sentence_b", "label"]:
         raise DataError(f"{path}: expected header 'sentence_a\\tsentence_b\\tlabel'")

@@ -39,7 +39,7 @@ from lusoforge.checkpoint import (check_head, check_inputs_fit, load_checkpoint,
 from lusoforge.encoder import PRESETS, DisentangledEncoder, EncoderConfig, init_params, preset
 from lusoforge.errors import DataError, NumericalError, UsageError
 from lusoforge.optim import Adam
-from lusoforge.tokenizer import MASK, PAD
+from lusoforge.tokenizer import MASK, PAD, SPECIAL_TOKENS
 
 EMA_FACTOR = 0.95
 MIN_SEQUENCE_TOKENS = 8
@@ -87,7 +87,6 @@ class TrainRunConfig:
 
 def apply_mlm_masking(
     ids: np.ndarray,
-    special_ids: frozenset[int] | set[int],
     mask_rate: float,
     rng: np.random.Generator,
     vocab_size: int,
@@ -95,17 +94,15 @@ def apply_mlm_masking(
     """Select non-special positions at mask_rate; replace 80% with the mask
     id, 10% with a uniform random non-special token, 10% left unchanged.
     Labels hold original ids at selected positions and IGNORE_INDEX elsewhere.
+    The special ids are the tokenizer's fixed 0..len(SPECIAL_TOKENS)-1.
 
     Three fixed-shape draws per call, so the RNG stream advances identically
     regardless of token content.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    specials = np.asarray(sorted(special_ids), dtype=np.int64)
-    eligible = ~np.isin(ids, specials)
-    select = (rng.random(ids.shape) < mask_rate) & eligible
+    select = (rng.random(ids.shape) < mask_rate) & (ids >= len(SPECIAL_TOKENS))
     action = rng.random(ids.shape)
-    n_specials = len(specials)
-    randoms = rng.integers(n_specials, vocab_size, size=ids.shape)
+    randoms = rng.integers(len(SPECIAL_TOKENS), vocab_size, size=ids.shape)
 
     out = ids.copy()
     out[select & (action < 0.8)] = MASK
@@ -218,7 +215,8 @@ class LossLog:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "LossLog":
-        """The log `to_csv` wrote; an unreadable row is a DataError naming file:line."""
+        """The log `to_csv` wrote; an unreadable row is a DataError naming file:line,
+        and a log without rows one naming the file."""
         log = cls()
         try:
             handle = open(path, "r", encoding="utf-8", newline="")
@@ -235,6 +233,8 @@ class LossLog:
             except (KeyError, TypeError, ValueError, csv.Error) as e:
                 raise DataError(f"{path}:{rows.line_num}: not a loss log row "
                                 f"({type(e).__name__}: {e})") from e
+        if not log.entries:
+            raise DataError(f"loss log {path} holds no records")
         return log
 
 
@@ -268,7 +268,6 @@ def _mask_epoch(
     sequences: list[list[int]],
     epoch: int,
     config: TrainRunConfig,
-    special_ids: frozenset[int],
     vocab_size: int,
     mask_entropy: int,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -278,8 +277,7 @@ def _mask_epoch(
     labels: list[np.ndarray] = []
     for i, seq in enumerate(sequences):
         rng = np.random.default_rng(np.random.SeedSequence([mask_entropy, epoch, i]))
-        m, lab = apply_mlm_masking(np.asarray(seq), special_ids, config.mask_rate,
-                                   rng, vocab_size)
+        m, lab = apply_mlm_masking(np.asarray(seq), config.mask_rate, rng, vocab_size)
         masked.append(m)
         labels.append(lab)
     return masked, labels
@@ -404,7 +402,6 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
     shuffle_rng = np.random.default_rng(shuffle_ss)
     mask_entropy = int(mask_ss.generate_state(1, dtype=np.uint64)[0])
     dropout_entropy = int(dropout_ss.generate_state(1, dtype=np.uint64)[0])
-    special_ids = frozenset(tokenizer.special_ids)
     job = partial(_micro_batch_gradient, model, slabs,
                   dropout_entropy if enc_config.dropout_rate > 0 else None)
 
@@ -420,8 +417,8 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
         while not done:
             if config.epochs and epoch >= config.epochs:
                 break
-            masked, labels = _mask_epoch(sequences, epoch, config, special_ids,
-                                         enc_config.vocab_size, mask_entropy)
+            masked, labels = _mask_epoch(sequences, epoch, config, enc_config.vocab_size,
+                                         mask_entropy)
             epoch_seed = int(shuffle_rng.integers(np.iinfo(np.int64).max))
             batches = make_batches(masked, config.micro_batch_size, config.seq_len,
                                    epoch_seed, labels=labels)

@@ -1,15 +1,16 @@
 """Byte-pair-encoding subword tokenizer over boundary-marked text.
 
 Words are marked with a leading "▁" glyph before merging, so word boundaries
-survive in the learned pieces and decoding is a pure string concat. Training
-is greedy (Sennrich et al. 2016): repeatedly merge the most frequent adjacent
-symbol pair, ties broken by lexicographically smallest pair, until the
-vocabulary budget is spent or no pairs remain. Pair counts are taken once and
-then updated incrementally: a merge rewrites only the words that contain the
-merged pair, and a heap yields the next best pair. No randomness is involved.
+survive in the learned pieces. Training is greedy (Sennrich et al. 2016):
+repeatedly merge the most frequent adjacent symbol pair, ties broken by
+lexicographically smallest pair, until the vocabulary budget is spent or no
+pairs remain. Pair counts are taken once and then updated incrementally: a
+merge rewrites only the words that contain the merged pair, and a heap yields
+the next best pair. No randomness is involved.
 
-Special ids sit at the low end and are never produced by text encoding:
-PAD=0, UNK=1, CLS=2, SEP=3, MASK=4.
+The special ids and the marker are the program's, not a file's: PAD=0,
+UNK=1, CLS=2, SEP=3, MASK=4, never produced by text encoding. A saved file
+records them, and `load_tokenizer` refuses one that records others.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from lusoforge.errors import DataError, UsageError
 MARKER = "▁"
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
 PAD, UNK, CLS, SEP, MASK = range(5)
+SPECIALS = {"PAD": PAD, "UNK": UNK, "CLS": CLS, "SEP": SEP, "MASK": MASK}
 FORMAT_VERSION = 1
 
 
@@ -41,29 +43,23 @@ class TokenSequence:
 
 @dataclass
 class TokenizerModel:
-    """Immutable after training; encode/decode are safe to call concurrently."""
+    """A vocabulary and its merges in rank order, with the merge ranks and
+    the per-word pieces derived from them. The special tokens and the marker
+    are this module's constants. Immutable after training; encode is safe to
+    call concurrently."""
 
     vocab: dict[str, int]
     merges: list[tuple[str, str]]
-    specials: dict[str, int]
-    marker: str = MARKER
     _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
-    _id_to_token: dict[int, str] = field(default_factory=dict, repr=False)
     _cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self._ranks:
             self._ranks = {pair: i for i, pair in enumerate(self.merges)}
-        if not self._id_to_token:
-            self._id_to_token = {i: t for t, i in self.vocab.items()}
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
-
-    @property
-    def special_ids(self) -> frozenset[int]:
-        return frozenset(self.specials.values())
 
 
 def normalize(text: str) -> str:
@@ -159,8 +155,7 @@ def train_tokenizer(corpus: Iterable, vocab_size: int) -> TokenizerModel:
             else:
                 del pair_freq[pair]
 
-    specials = {name.strip("<>").upper(): i for i, name in enumerate(SPECIAL_TOKENS)}
-    return TokenizerModel(vocab=vocab, merges=merges, specials=specials)
+    return TokenizerModel(vocab=vocab, merges=merges)
 
 
 def _merge_pair(syms: list[str], pair: tuple[str, str], merged: str) -> list[str]:
@@ -200,10 +195,9 @@ def _bpe(model: TokenizerModel, word: str) -> tuple[str, ...]:
 
 def _text_to_ids(model: TokenizerModel, text: str) -> list[int]:
     ids: list[int] = []
-    unk = model.specials["UNK"]
     for word in _marked_words(text):
         for piece in _bpe(model, word):
-            ids.append(model.vocab.get(piece, unk))
+            ids.append(model.vocab.get(piece, UNK))
     return ids
 
 
@@ -240,21 +234,6 @@ def encode_pair(model: TokenizerModel, text_a: str, text_b: str, max_len: int = 
     return TokenSequence(ids=ids, segments=segments)
 
 
-def decode(model: TokenizerModel, ids: Iterable[int]) -> str:
-    """Inverse of encode on UNK-free input: drop specials, markers → spaces."""
-    special = model.special_ids
-    pieces: list[str] = []
-    for i in ids:
-        i = int(i)
-        token = model._id_to_token.get(i)
-        if token is None:
-            raise DataError(f"token id {i} outside vocabulary of size {model.vocab_size}")
-        if i in special:
-            continue
-        pieces.append(token)
-    return "".join(pieces).replace(model.marker, " ").lstrip(" ")
-
-
 def save_tokenizer(model: TokenizerModel, path: str | Path):
     """Canonical JSON: sorted keys, 2-space indent, UTF-8, trailing newline.
     Identical models serialize to identical bytes."""
@@ -262,17 +241,18 @@ def save_tokenizer(model: TokenizerModel, path: str | Path):
         "version": FORMAT_VERSION,
         "vocab": model.vocab,
         "merges": [list(p) for p in model.merges],
-        "specials": model.specials,
-        "marker": model.marker,
+        "specials": SPECIALS,
+        "marker": MARKER,
     }
     text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
 def load_tokenizer(path: str | Path) -> TokenizerModel:
-    """The tokenizer saved at `path`. Any fault of the file, such as a missing
-    field, an id outside the vocabulary, no UNK special or a merge that is not
-    a pair of strings, is one DataError naming it."""
+    """The tokenizer saved at `path`. Any fault of the file is one DataError
+    naming it: a missing field, an id outside the vocabulary, a merge that is
+    not a pair of strings, or specials, a marker or special-token ids other
+    than this module's."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -280,19 +260,23 @@ def load_tokenizer(path: str | Path) -> TokenizerModel:
     if not isinstance(payload, dict) or payload.get("version") != FORMAT_VERSION:
         raise DataError(f"tokenizer file {path} is not a JSON object of format version "
                         f"{FORMAT_VERSION}")
-    vocab, merges, specials = (payload.get(k) for k in ("vocab", "merges", "specials"))
+    vocab, merges = payload.get("vocab"), payload.get("merges")
     n = len(vocab) if isinstance(vocab, dict) else 0
-    for key, ids in (("vocab", vocab), ("specials", specials)):
-        if not (isinstance(ids, dict) and all(type(i) is int and 0 <= i < n for i in ids.values())):
-            raise DataError(f"tokenizer file {path}: {key} must map tokens to integer ids "
-                            f"below the vocabulary size {n}")
-    if "UNK" not in specials:
-        raise DataError(f"tokenizer file {path}: specials lack UNK")
+    if not (isinstance(vocab, dict) and all(type(i) is int and 0 <= i < n for i in vocab.values())):
+        raise DataError(f"tokenizer file {path}: vocab must map tokens to integer ids "
+                        f"below the vocabulary size {n}")
+    for key, fixed in (("specials", SPECIALS), ("marker", MARKER)):
+        if payload.get(key) != fixed:
+            raise DataError(f"tokenizer file {path}: {key} must be {fixed!r}, "
+                            f"got {payload.get(key)!r}")
+    for i, token in enumerate(SPECIAL_TOKENS):
+        if vocab.get(token) != i:
+            raise DataError(f"tokenizer file {path}: vocab must hold {token} at id {i}, "
+                            f"got {vocab.get(token)!r}")
     for pair in merges if isinstance(merges, list) else [merges]:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(t, str) for t in pair)):
             raise DataError(f"tokenizer file {path}: merges must be a list of string pairs")
         if "".join(pair) not in vocab:
             raise DataError(f"tokenizer file {path}: merge {pair} makes no vocab entry")
-    return TokenizerModel(vocab=vocab, merges=[tuple(p) for p in merges], specials=specials,
-                          marker=payload.get("marker", MARKER))
+    return TokenizerModel(vocab=vocab, merges=[tuple(p) for p in merges])

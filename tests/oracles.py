@@ -13,6 +13,8 @@ at every position, checks the task model's pruned last layer.
 The kernels' first forms are kept too: the broadcast `take_along_axis`
 gather and its `np.add.at` scatter, the embedding backward that scatters
 into a zeroed table, and the Adam step built from whole-array temporaries.
+`decode`, the inverse of tokenizer encoding, lives here because only tests
+read ids back as text.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from lusoforge.encoder import (
 )
 from lusoforge.errors import DataError, NumericalError
 from lusoforge.optim import BETA1, BETA2, EPS, Adam
-from lusoforge.tokenizer import SPECIAL_TOKENS, _marked_words
+from lusoforge.tokenizer import MARKER, SPECIAL_TOKENS, TokenizerModel, _marked_words
 
 
 def train_bpe_reference(texts, vocab_size: int) -> tuple[list[tuple[str, str]], dict[str, int]]:
@@ -81,6 +83,18 @@ def train_bpe_reference(texts, vocab_size: int) -> tuple[list[tuple[str, str]], 
             new_words[tuple(out)] = new_words.get(tuple(out), 0) + f
         words = new_words
     return merges, vocab
+
+
+def decode(model: TokenizerModel, ids) -> str:
+    """Inverse of encode on UNK-free input: drop specials, markers -> spaces."""
+    id_to_token = {i: t for t, i in model.vocab.items()}
+    pieces: list[str] = []
+    for i in map(int, ids):
+        if i not in id_to_token:
+            raise DataError(f"token id {i} outside vocabulary of size {model.vocab_size}")
+        if i >= len(SPECIAL_TOKENS):
+            pieces.append(id_to_token[i])
+    return "".join(pieces).replace(MARKER, " ").lstrip(" ")
 
 
 def brute_word_rep(text: str, n: int) -> float:

@@ -33,15 +33,12 @@ from lusoforge.encoder import (
 from lusoforge.finetune import TASKS, full_grid, run_grid, synthetic_task_examples, write_task_tsv
 from lusoforge.metrics import accuracy, f1_binary, pearson
 from lusoforge.pretrain import TrainRunConfig, apply_mlm_masking, lr_at, train
-from lusoforge.tokenizer import CLS, MASK, PAD, SEP, UNK, train_tokenizer
+from lusoforge.tokenizer import MASK, train_tokenizer
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
     tail = f" ({detail})" if detail else ""
     print(f"\nACCEPT {num:02d} {name}: {'PASS' if ok else 'FAIL'}{tail}")
-
-
-SPECIALS = frozenset((PAD, UNK, CLS, SEP, MASK))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +146,7 @@ def test_a03_masking_statistics():
     rng = np.random.default_rng(3)
     n = 120_000
     ids = rng.integers(5, 500, size=n)
-    masked, labels = apply_mlm_masking(ids, SPECIALS, 0.15,
+    masked, labels = apply_mlm_masking(ids, 0.15,
                                        np.random.default_rng(42), vocab_size=500)
     selected = labels != -100
     frac = float(selected.mean())

@@ -1050,7 +1050,7 @@ def _bad_tokenizer(form, ws, path):
     elif form == "no-specials":
         del good["specials"]
         path.write_text(json.dumps(good), encoding="utf-8")
-        return "specials must map tokens to integer ids"
+        return "specials must be {'PAD': 0, 'UNK': 1, 'CLS': 2, 'SEP': 3, 'MASK': 4}, got None"
     elif form == "one-element-merge":
         good["merges"][3] = good["merges"][3][:1]
         path.write_text(json.dumps(good), encoding="utf-8")
@@ -1066,11 +1066,28 @@ def _bad_tokenizer(form, ws, path):
     elif form == "special-past-the-vocabulary":
         good["specials"]["MASK"] = 999
         path.write_text(json.dumps(good), encoding="utf-8")
-        return "specials must map tokens to integer ids below the vocabulary size"
+        return "specials must be {'PAD': 0, 'UNK': 1, 'CLS': 2, 'SEP': 3, 'MASK': 4}, got"
     elif form == "no-unk":
         del good["specials"]["UNK"]
         path.write_text(json.dumps(good), encoding="utf-8")
-        return "specials lack UNK"
+        return "specials must be {'PAD': 0, 'UNK': 1, 'CLS': 2, 'SEP': 3, 'MASK': 4}, got"
+    elif form == "other-special-id":
+        good["specials"] = {"UNK": 1}
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return "specials must be {'PAD': 0, 'UNK': 1, 'CLS': 2, 'SEP': 3, 'MASK': 4}, got {'UNK': 1}"
+    elif form == "cls-elsewhere":
+        other = next(t for t, i in good["vocab"].items() if i == 7)
+        good["vocab"]["<cls>"], good["vocab"][other] = 7, 2
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return "vocab must hold <cls> at id 2, got 7"
+    elif form == "other-marker":
+        good["marker"] = "_"
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return "marker must be '▁', got '_'"
+    elif form == "non-string-marker":
+        good["marker"] = 5
+        path.write_text(json.dumps(good), encoding="utf-8")
+        return "marker must be '▁', got 5"
     return ""
 
 
@@ -1080,10 +1097,12 @@ _CHECKPOINT_FORMS = _FORMS + ("lacks-a-tensor", "extra-tensor", "misshaped", "sh
                               "float-num-layers")
 _TOKENIZER_FORMS = _FORMS + ("array", "version-only", "no-specials", "one-element-merge",
                              "text-id", "id-past-the-vocabulary", "special-past-the-vocabulary",
-                             "no-unk")
+                             "no-unk", "other-special-id", "cls-elsewhere", "other-marker",
+                             "non-string-marker")
 _ARTIFACT_COMMANDS = ("finetune", "sweep", "eval", "pretrain")
 _MATRIX = ([(c, "checkpoint", f) for c in _ARTIFACT_COMMANDS for f in _CHECKPOINT_FORMS]
-           + [(c, "tokenizer", f) for c in _ARTIFACT_COMMANDS for f in _TOKENIZER_FORMS]
+           + [(c, "tokenizer", f) for c in (*_ARTIFACT_COMMANDS, "corpus stats")
+              for f in _TOKENIZER_FORMS]
            + [("pretrain", "checkpoint", "fine-tuned"), ("eval", "checkpoint", "pre-training")])
 
 
@@ -1098,19 +1117,160 @@ def test_a_bad_artifact_is_one_data_error_line_before_any_work(ws, tmp_path, mon
         checkpoint, must_hold = bad, _bad_checkpoint(form, good, ws, bad)
     else:
         tokenizer, must_hold = bad, _bad_tokenizer(form, ws, bad)
+    work = ["pt.tokenize_corpus", "corpus_mod.corpus_stats", *_TASK_WORK]
     if command == "pretrain":
         argv = ["pretrain", "--input", str(ws["filtered"]), "--tokenizer", str(tokenizer),
                 "--init-checkpoint", str(checkpoint), "--seq-len", "32", "--warmup-steps", "1",
                 "--total-steps", "2"]
+    elif command == "corpus stats":
+        argv = ["corpus", "stats", "--input", str(ws["filtered"]), "--tokenizer", str(tokenizer)]
     else:
         argv = _task_call(ws, command, checkpoint, "--seq-len", "32")
         argv[argv.index("--tokenizer") + 1] = str(tokenizer)
-    _no_work(monkeypatch, "pt.tokenize_corpus", *_TASK_WORK)
+    if artifact == "tokenizer":  # read before the corpus; the checkpoint is read after it
+        work.append("corpus_mod.read_jsonl")
+    _no_work(monkeypatch, *work)
     capsys.readouterr()
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
     lines = _one_error_line(capsys)
     assert len(lines) == 1 and lines[0].startswith("data error:"), lines
     assert str(bad) in lines[0] and must_hold in lines[0], lines
+
+
+# ---------------------------------------------------------------------------
+# the failure matrix of the text inputs: task TSVs, config files and report's
+# inputs, each missing, empty, truncated, of the wrong kind (a checkpoint,
+# which is not UTF-8) or of the wrong schema
+
+
+def _bad_text(form, good_text, ws, path, wrong_schema):
+    """Write the `form` of a bad text input at `path`: `good_text` cut at its
+    last field separator for "truncated", `wrong_schema` for "schema"."""
+    if form == "empty":
+        path.write_bytes(b"")
+    elif form == "truncated":
+        cut = max(good_text.rfind("\t"), good_text.rfind(","), len(good_text) // 2)
+        path.write_text(good_text[:cut], encoding="utf-8")
+    elif form == "wrong-kind":
+        path.write_bytes((ws["pre"] / "model.ckpt").read_bytes())
+    elif form == "schema":
+        path.write_text(wrong_schema, encoding="utf-8")
+
+
+def _one_failure_line(capsys, rc: int, bad) -> str:
+    """The one line a failed call printed besides its config lines, after
+    checking that it names `bad` and is of the kind exit code `rc` stands for."""
+    lines = _one_error_line(capsys)
+    assert len(lines) == 1, lines
+    prefix = {1: "usage error:", 2: ("data error:", "error:")}[rc]
+    assert lines[0].startswith(prefix) and str(bad) in lines[0], lines
+    return lines[0]
+
+
+_TEXT_FORMS = ("missing", "empty", "truncated", "wrong-kind", "schema")
+_TSV_INPUTS = [("finetune", "--train"), ("finetune", "--dev"), ("sweep", "--train"),
+               ("sweep", "--dev"), ("sweep", "--test"), ("eval", "--data")]
+
+
+@pytest.mark.parametrize("form", _TEXT_FORMS)
+@pytest.mark.parametrize("command, flag", _TSV_INPUTS, ids=[" ".join(c) for c in _TSV_INPUTS])
+def test_a_bad_task_file_is_one_data_error_line_before_any_work(ws, tmp_path, monkeypatch,
+                                                                capsys, command, flag, form):
+    bad = tmp_path / "bad.tsv"
+    _bad_text(form, ws["test_tsv"].read_text(encoding="utf-8"), ws, bad,
+              "sentence_a\tsentence_b\tlabel\num\tdois\t2\n")
+    good = ws["fin"] / "model_finetuned.ckpt" if command == "eval" else ws["pre"] / "model.ckpt"
+    argv = _task_call(ws, command, good, "--seq-len", "32")
+    if flag == "--dev":
+        argv += ["--dev", str(bad)]
+    else:
+        argv[argv.index(flag) + 1] = str(bad)
+    _no_work(monkeypatch, "ft.encode_examples", *_TASK_WORK)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    _one_failure_line(capsys, 2, bad)
+
+
+def _config_call(ws, command):
+    """The argv of `command` over the workspace's files, less --config and --out."""
+    if command in ("finetune", "sweep", "eval"):
+        return _task_call(ws, command, ws["fin"] / "model_finetuned.ckpt" if command == "eval"
+                          else ws["pre"] / "model.ckpt")
+    return {"corpus filter": ["corpus", "filter", "--input", str(ws["corpus"])],
+            "corpus stats": ["corpus", "stats", "--input", str(ws["filtered"])],
+            "tokenizer train": ["tokenizer", "train", "--input", str(ws["filtered"])],
+            "pretrain": ["pretrain", "--input", str(ws["filtered"]),
+                         "--tokenizer", str(ws["vocab"])],
+            "report": ["report", "--loss-log", str(ws["pre"] / "loss_log.csv")]}[command]
+
+
+def _stub_handlers(monkeypatch, reached=None):
+    """Replace every command handler of `cli` with one that records its
+    command in `reached` or, without `reached`, fails the test."""
+    for name in [n for n in vars(cli) if n.startswith("_cmd_")]:
+        def stub(*a, command=name[len("_cmd_"):].replace("_", " ")):
+            if reached is None:
+                raise AssertionError(f"ran {command}, which a failed config check should prevent")
+            reached.append(command)
+
+        monkeypatch.setattr(cli, name, stub)
+
+
+_CONFIG_COMMANDS = ("corpus filter", "corpus stats", "tokenizer train", "pretrain", "finetune",
+                    "sweep", "eval", "report")
+
+
+@pytest.mark.parametrize("form", _TEXT_FORMS)
+@pytest.mark.parametrize("command", _CONFIG_COMMANDS)
+def test_a_bad_config_file_is_one_error_line_before_any_input_loads(ws, tmp_path, monkeypatch,
+                                                                    capsys, command, form):
+    bad = tmp_path / "cfg.json"
+    _bad_text(form, json.dumps({"seed": 3}), ws, bad, json.dumps({"seed": 3, "vocabsize": 96}))
+    _stub_handlers(monkeypatch)
+    capsys.readouterr()
+    rc = 1 if form == "schema" else 2
+    argv = [*_config_call(ws, command), "--config", str(bad)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == rc
+    line = _one_failure_line(capsys, rc, bad)
+    if form == "schema":
+        assert "has unknown keys ['vocabsize']" in line, line
+
+
+_OWN_KEYS = {"corpus filter": [*cli._FILTER_SETTINGS, "thresholds"], "corpus stats": [],
+             "tokenizer train": list(cli._TOKENIZER_SETTINGS),
+             "pretrain": list(cli._PRETRAIN_SETTINGS), "finetune": list(cli._FINETUNE_SETTINGS),
+             "sweep": list(cli._SWEEP_SETTINGS), "eval": list(cli._EVAL_SETTINGS), "report": []}
+
+
+@pytest.mark.parametrize("command", _CONFIG_COMMANDS)
+def test_a_config_file_holds_only_the_commands_own_keys(ws, tmp_path, monkeypatch, capsys,
+                                                        command):
+    reached = []
+    _stub_handlers(monkeypatch, reached)
+    cfg = tmp_path / "cfg.json"
+    own = {**dict.fromkeys(_OWN_KEYS[command], 1), "seed": 3}
+    cfg.write_text(json.dumps(own), encoding="utf-8")
+    argv = [*_config_call(ws, command), "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0 and reached == [command]
+    stray = "vocab_size" if command == "corpus filter" else "thresholds"
+    cfg.write_text(json.dumps({**own, stray: 1}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    line = _one_failure_line(capsys, 1, cfg)
+    assert f"has unknown keys ['{stray}']; this command takes {sorted(own)}" in line, line
+
+
+# the wrong-schema form is test_report_rejects_a_malformed_input_in_one_line's
+@pytest.mark.parametrize("form", _TEXT_FORMS[:-1])
+@pytest.mark.parametrize("flag", ["--loss-log", "--metrics"])
+def test_a_bad_report_input_is_one_data_error_line(ws, tmp_path, capsys, flag, form):
+    bad = tmp_path / "input"
+    good = ((ws["pre"] / "loss_log.csv").read_text(encoding="utf-8") if flag == "--loss-log"
+            else json.dumps({"task": "rte", "reported_test_score": 0.5}))
+    _bad_text(form, good, ws, bad, None)
+    capsys.readouterr()
+    assert cli.main(["report", flag, str(bad), "--out", str(tmp_path / "rep")]) == 2
+    _one_failure_line(capsys, 2, bad)
 
 
 def test_finetune_and_eval_pin_one_blas_thread(ws, tmp_path, monkeypatch):

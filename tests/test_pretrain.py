@@ -30,14 +30,10 @@ from lusoforge.tokenizer import MASK, train_tokenizer
 
 # ----------------------------------------------------------------- masking
 
-def special_ids():
-    return frozenset(range(5))
-
-
 def test_mask_rate_zero_is_identity():
     rng = np.random.default_rng(0)
     ids = np.array([2, 10, 11, 12, 3])
-    masked, labels = apply_mlm_masking(ids, special_ids(), 0.0, rng, vocab_size=50)
+    masked, labels = apply_mlm_masking(ids, 0.0, rng, vocab_size=50)
     np.testing.assert_array_equal(masked, ids)
     assert np.all(labels == -100)
 
@@ -45,7 +41,7 @@ def test_mask_rate_zero_is_identity():
 def test_mask_rate_one_selects_every_nonspecial():
     rng = np.random.default_rng(1)
     ids = np.array([2] + list(range(10, 20)) + [3])
-    masked, labels = apply_mlm_masking(ids, special_ids(), 1.0, rng, vocab_size=50)
+    masked, labels = apply_mlm_masking(ids, 1.0, rng, vocab_size=50)
     assert np.all(labels[1:-1] == ids[1:-1])
     assert labels[0] == -100 and labels[-1] == -100
     np.testing.assert_array_equal(masked[[0, -1]], ids[[0, -1]])
@@ -54,7 +50,7 @@ def test_mask_rate_one_selects_every_nonspecial():
 def test_specials_never_selected():
     rng = np.random.default_rng(2)
     ids = np.array([0, 1, 2, 3, 4] * 20)
-    masked, labels = apply_mlm_masking(ids, special_ids(), 1.0, rng, vocab_size=50)
+    masked, labels = apply_mlm_masking(ids, 1.0, rng, vocab_size=50)
     np.testing.assert_array_equal(masked, ids)
     assert np.all(labels == -100)
 
@@ -63,7 +59,7 @@ def test_masking_statistics_at_scale():
     rng = np.random.default_rng(3)
     n = 120_000
     ids = rng.integers(5, 500, size=n)
-    masked, labels = apply_mlm_masking(ids, special_ids(), 0.15,
+    masked, labels = apply_mlm_masking(ids, 0.15,
                                        np.random.default_rng(42), vocab_size=500)
     selected = labels != -100
     frac = selected.mean()
@@ -80,7 +76,7 @@ def test_masking_statistics_at_scale():
 def test_masking_labels_carry_originals():
     rng = np.random.default_rng(4)
     ids = np.arange(5, 105)
-    masked, labels = apply_mlm_masking(ids, special_ids(), 0.5, rng, vocab_size=200)
+    masked, labels = apply_mlm_masking(ids, 0.5, rng, vocab_size=200)
     sel = labels != -100
     np.testing.assert_array_equal(labels[sel], ids[sel])
     # unselected positions keep their tokens
@@ -89,7 +85,7 @@ def test_masking_labels_carry_originals():
 
 def test_random_replacements_are_nonspecial():
     ids = np.arange(5, 2005)
-    masked, labels = apply_mlm_masking(ids, special_ids(), 1.0,
+    masked, labels = apply_mlm_masking(ids, 1.0,
                                        np.random.default_rng(5), vocab_size=2005)
     sel = labels != -100
     replaced = masked[sel][(masked[sel] != MASK) & (masked[sel] != ids[sel])]
@@ -100,8 +96,8 @@ def test_random_replacements_are_nonspecial():
 
 def test_masking_deterministic_per_rng_seed():
     ids = np.arange(5, 205)
-    a = apply_mlm_masking(ids, special_ids(), 0.15, np.random.default_rng(9), vocab_size=300)
-    b = apply_mlm_masking(ids, special_ids(), 0.15, np.random.default_rng(9), vocab_size=300)
+    a = apply_mlm_masking(ids, 0.15, np.random.default_rng(9), vocab_size=300)
+    b = apply_mlm_masking(ids, 0.15, np.random.default_rng(9), vocab_size=300)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -285,6 +281,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path, micro_config):
     enc2 = DisentangledEncoder(cfg, params_from_arrays(arrays))
     after = enc2.mlm_logits(ids).data
     np.testing.assert_array_equal(before, after)
+    # a loaded model holds its parameters in the order a fresh one does
+    assert list(enc2.params) == list(enc.params)
 
 
 def test_checkpoint_file_is_byte_deterministic(tmp_path, micro_config):
