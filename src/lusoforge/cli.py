@@ -264,9 +264,17 @@ def _cmd_corpus_stats(args, file_cfg: dict, man: RunManifest, out: Path):
               f"{row['tokens']} tokens ({row['token_proportion']:.2%})")
 
 
+def _training_corpus(path) -> list[corpus_mod.Document]:
+    """The documents of a corpus to train on; a DataError if none has a word."""
+    docs = corpus_mod.read_jsonl(path)
+    if not any(d.text.split() for d in docs):
+        raise DataError(f"corpus file {path} holds no words to train on")
+    return docs
+
+
 def _cmd_tokenizer_train(args, file_cfg: dict, man: RunManifest, out: Path):
     fields = _resolve_fields(args, file_cfg, _TOKENIZER_SETTINGS)
-    model = tok_mod.train_tokenizer(corpus_mod.read_jsonl(args.input), fields["vocab_size"])
+    model = tok_mod.train_tokenizer(_training_corpus(args.input), fields["vocab_size"])
     vocab_path = out / "vocab.json"
     tok_mod.save_tokenizer(model, vocab_path)
     _write_manifest(man, out, fields, [args.input], [vocab_path])
@@ -283,7 +291,8 @@ def _cmd_pretrain(args, file_cfg: dict, man: RunManifest, out: Path):
                              "the checkpoint fixes the model")
         recorded["preset"] = None
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
-    _, losslog = pt.train(config, corpus_mod.read_jsonl(args.input), tokenizer)
+    start = pt.checkpoint_start(config, tokenizer) if config.init_checkpoint else None
+    _, losslog = pt.train(config, _training_corpus(args.input), tokenizer, start)
     emit_loss_curve(losslog, out / "loss_curve.csv", out / "loss_curve.svg")
     _write_manifest(man, out, recorded, [args.input, args.tokenizer, config.init_checkpoint],
                     [out / n for n in ("model.ckpt", "loss_log.csv", "loss_curve.csv",

@@ -18,8 +18,8 @@ the informative one.
 The per-document kernels count exactly: character n-grams as sorted integer
 keys in numpy, one 64-bit word per key for alphabets of up to 84 characters
 at n = 10 and as many words as a larger alphabet needs (`char_repetition_ratio`),
-and word shingles by hashing each gram once, as a slice of the page's joined
-words (`_shingles`).
+and word shingles as hashes of tuples of word ids, interned once for the
+whole near-dup stage (`_shingles`). A stage splits each page once.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ import hashlib
 import json
 import math
 import re
-import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, asdict
-from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 from urllib.parse import urlsplit
@@ -231,23 +229,15 @@ def deduplicate(docs: Sequence[Document]) -> list[Document]:
     return out
 
 
-def _shingles(text: str, n: int) -> frozenset[int]:
-    """`content_hash` of each word n-gram, or of the whole text when it has at
-    most n words; stable across processes, unlike builtin hash().
-
-    The words of `text.split()` hold no whitespace, so each gram's collapsed
-    form is a slice of the joined words, hashed without a second split. In
-    the UTF-8 bytes of the joined words, the separating spaces are the only
-    0x20 bytes, so splitting the bytes there gives each word's byte length.
-    """
-    words = text.split()
-    if len(words) <= n:
-        return frozenset((content_hash(text),))
-    data = " ".join(words).encode("utf-8")
-    starts = [0, *accumulate(len(w) + 1 for w in data.split(b" "))]
-    digests = b"".join([hashlib.blake2b(data[a : b - 1], digest_size=8).digest()
-                        for a, b in zip(starts, starts[n:])])
-    return frozenset(struct.unpack(f"<{len(digests) // 8}Q", digests))
+def _shingles(words: list[str], n: int, word_ids: dict[str, int]) -> frozenset[int]:
+    """The key of each word n-gram of `words`, or of all of them when there
+    are at most n: the hash() of the gram's tuple of ids, each word interned
+    in `word_ids`. An int tuple's hash does not depend on PYTHONHASHSEED, so
+    neither does the order of the keys nor any decision made with them."""
+    ids = [word_ids.setdefault(w, len(word_ids)) for w in words]
+    if len(ids) <= n:
+        return frozenset((hash(tuple(ids)),))
+    return frozenset(map(hash, zip(*(ids[i:] for i in range(n)))))
 
 
 def _min_overlap(size: int, t: float) -> int:
@@ -286,8 +276,9 @@ def near_deduplicate(docs: Sequence[Document], n: int, t: float) -> list[Documen
     kept: list[Document] = []
     kept_shingles: list[frozenset[int]] = []
     index: dict[int, list[int]] = defaultdict(list)
+    word_ids: dict[str, int] = {}
     for d in docs:
-        sh = _shingles(d.text, n)
+        sh = _shingles(d.text.split(), n, word_ids)
         prefix = sorted(sh)[: len(sh) - _min_overlap(len(sh), t) + 1]
         candidates = sorted({k for h in prefix for k in index.get(h, ())})
         if any(_jaccard_reaches(sh, kept_shingles[k], t) for k in candidates):
@@ -362,9 +353,8 @@ def char_repetition_ratio(text: str, n: int) -> float:
     return int(counts[distinct - top:].sum()) / m
 
 
-def word_repetition_ratio(text: str, n: int) -> float:
+def word_repetition_ratio(words: list[str], n: int) -> float:
     """Mass of repeated word n-grams over all word n-gram mass."""
-    words = text.split()
     if len(words) < n:
         return 0.0
     counts = Counter(zip(*(words[i:] for i in range(n))))
@@ -377,12 +367,12 @@ def nonalpha_ratio(text: str) -> float:
     return sum(text.count(c) for c in set(text) if not c.isalpha()) / len(text)
 
 
-def url_token_ratio(text: str) -> float:
+def url_token_ratio(text: str, words: list[str]) -> float:
+    """Share of `words`, the whitespace tokens of `text`, that hold a URL token."""
     # the pattern holds no whitespace, so a page without a match has no URL token
     if not _URL_TOKEN.search(text):
         return 0.0
-    tokens = text.split()
-    return sum(1 for t in tokens if _URL_TOKEN.search(t)) / len(tokens)
+    return sum(1 for w in words if _URL_TOKEN.search(w)) / len(words)
 
 
 def quality_reason(doc: Document, t: QualityThresholds) -> str | None:
@@ -390,15 +380,16 @@ def quality_reason(doc: Document, t: QualityThresholds) -> str | None:
     text = doc.text
     if len(text) < t.min_chars:
         return "min-length"
-    if len(text.split()) < t.min_words:
+    words = text.split()
+    if len(words) < t.min_words:
         return "min-words"
-    if word_repetition_ratio(text, t.word_ngram) > t.max_word_repetition:
+    if word_repetition_ratio(words, t.word_ngram) > t.max_word_repetition:
         return "word-repetition"
     if char_repetition_ratio(text, t.char_ngram) > t.max_char_repetition:
         return "char-repetition"
     if nonalpha_ratio(text) > t.max_nonalpha:
         return "non-alphabetic"
-    if url_token_ratio(text) > t.max_url_ratio:
+    if url_token_ratio(text, words) > t.max_url_ratio:
         return "url-ratio"
     return None
 

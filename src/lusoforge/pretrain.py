@@ -349,7 +349,22 @@ def _window_runner(workers: int, job: Callable):
         yield run
 
 
-def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[DisentangledEncoder, LossLog]:
+def checkpoint_start(config: TrainRunConfig, tokenizer) -> tuple[EncoderConfig, dict]:
+    """`train`'s start from config.init_checkpoint: its encoder config, with
+    a given dropout_rate in place of the stored one, and its parameters. A
+    fine-tuned checkpoint, a tokenizer of another vocabulary size or a
+    seq_len above its max_seq_len is a DataError naming the file."""
+    path = config.init_checkpoint
+    enc_config, arrays, meta = load_checkpoint(path)
+    check_head(path, meta, None)
+    check_inputs_fit(enc_config, path, tokenizer.vocab_size, config.seq_len)
+    if config.dropout_rate is not None:
+        enc_config = replace(enc_config, dropout_rate=config.dropout_rate)
+    return enc_config, params_from_arrays(arrays)  # every layer kept as stored
+
+
+def train(config: TrainRunConfig, corpus: Iterable, tokenizer,
+          start: tuple[EncoderConfig, dict] | None = None) -> tuple[DisentangledEncoder, LossLog]:
     """Run the MLM objective for total_steps optimizer steps.
 
     Each optimizer step consumes accumulation_steps micro-batches; gradients
@@ -368,24 +383,15 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer) -> tuple[Disentan
     DataError, again with the last periodic checkpoint left on disk, and no
     worker outlives the call.
 
-    With init_checkpoint, training starts from that checkpoint's config and
-    arrays; a given dropout_rate replaces the stored one. A fine-tuned
-    checkpoint, a tokenizer of another vocabulary size, or a seq_len above
-    the checkpoint's max_seq_len is refused before the corpus is tokenized.
+    Training starts from `start`, else from what `checkpoint_start` reads
+    from config.init_checkpoint, else from a fresh model of config.preset.
     """
     root = np.random.SeedSequence(config.seed)
     init_ss, mask_ss, shuffle_ss, dropout_ss = root.spawn(4)
-    if config.init_checkpoint:
-        enc_config, arrays, meta = load_checkpoint(config.init_checkpoint)
-        check_head(config.init_checkpoint, meta, None)
-        check_inputs_fit(enc_config, config.init_checkpoint, tokenizer.vocab_size,
-                         config.seq_len)
-        if config.dropout_rate is not None:
-            enc_config = replace(enc_config, dropout_rate=config.dropout_rate)
-        params = params_from_arrays(arrays)  # every layer kept as stored
-    else:
+    if start is None and not config.init_checkpoint:
         enc_config = build_encoder_config(config, tokenizer.vocab_size)
-        params = init_params(enc_config, np.random.default_rng(init_ss))
+        start = enc_config, init_params(enc_config, np.random.default_rng(init_ss))
+    enc_config, params = start or checkpoint_start(config, tokenizer)
     sequences = tokenize_corpus(corpus, tokenizer, config.seq_len)
     if not sequences:
         raise DataError("training corpus is empty after tokenization")

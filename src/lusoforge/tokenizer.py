@@ -44,14 +44,14 @@ class TokenSequence:
 @dataclass
 class TokenizerModel:
     """A vocabulary and its merges in rank order, with the merge ranks and
-    the per-word pieces derived from them. The special tokens and the marker
+    each encoded word's ids derived from them. The special tokens and the marker
     are this module's constants. Immutable after training; encode is safe to
     call concurrently."""
 
     vocab: dict[str, int]
     merges: list[tuple[str, str]]
     _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
-    _cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
+    _cache: dict[str, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self._ranks:
@@ -62,16 +62,9 @@ class TokenizerModel:
         return len(self.vocab)
 
 
-def normalize(text: str) -> str:
-    """NFC plus whitespace-run collapse; no case folding."""
-    return " ".join(unicodedata.normalize("NFC", text).split())
-
-
-def _marked_words(text: str) -> list[str]:
-    norm = normalize(text)
-    if not norm:
-        return []
-    return [MARKER + w for w in norm.split(" ")]
+def normal_words(text: str) -> list[str]:
+    """The NFC form of `text` split at whitespace runs; no case folding."""
+    return unicodedata.normalize("NFC", text).split()
 
 
 def train_tokenizer(corpus: Iterable, vocab_size: int) -> TokenizerModel:
@@ -79,12 +72,14 @@ def train_tokenizer(corpus: Iterable, vocab_size: int) -> TokenizerModel:
 
     Each merge takes the pair with the highest frequency-weighted count, the
     lexicographically smallest pair among equal counts, and replaces it left
-    to right in every word. Counts are taken once; a `pair -> words` index
-    lets each merge rewrite only the words that hold the pair, subtracting
-    their old pairs and adding their new ones. A heap keyed (-count, pair)
-    picks the best pair, and its entries are dropped lazily once their count
-    is out of date. The merges equal those of recounting every pair of every
-    word before each merge.
+    to right in every word. Words are lists of integer symbol ids, one id per
+    symbol string; a `pair -> words` index lets each merge rewrite only the
+    words that hold the pair and update only the pair counts it changes. A
+    heap keyed (-count, left, right) on the symbol strings gets an entry when
+    a pair's count rises, so every pair has an entry at or above its count: a
+    popped entry equal to its count is the best pair, one above it goes back
+    at the current count, and one of a gone pair is dropped. The merges equal
+    those of recounting every pair of every word before each merge.
 
     Deterministic in corpus order: greedy BPE draws no randomness. Raises
     DataError on an empty corpus or a vocab_size with no room for the base
@@ -93,89 +88,85 @@ def train_tokenizer(corpus: Iterable, vocab_size: int) -> TokenizerModel:
     word_freq: Counter[str] = Counter()
     for doc in corpus:
         text = doc if isinstance(doc, str) else getattr(doc, "text", "")
-        for w in _marked_words(text):
-            word_freq[w] += 1
+        word_freq.update(normal_words(text))
     if not word_freq:
         raise DataError("cannot train tokenizer on an empty corpus")
 
-    base = sorted({ch for w in word_freq for ch in w})
-    minimum = len(SPECIAL_TOKENS) + len(base) + 1
+    syms = sorted(set(MARKER).union(*word_freq))  # symbol id -> string
+    minimum = len(SPECIAL_TOKENS) + len(syms) + 1
     if vocab_size < minimum:
         raise DataError(
             f"vocab_size {vocab_size} too small: need at least {minimum} "
-            f"({len(SPECIAL_TOKENS)} specials + {len(base)} base symbols + 1)"
+            f"({len(SPECIAL_TOKENS)} specials + {len(syms)} base symbols + 1)"
         )
 
-    vocab: dict[str, int] = {t: i for i, t in enumerate(SPECIAL_TOKENS)}
-    for ch in base:
-        vocab[ch] = len(vocab)
+    vocab = {t: i for i, t in enumerate((*SPECIAL_TOKENS, *syms))}
+    sym_id = {ch: i for i, ch in enumerate(syms)}
 
-    # Distinct words as mutable symbol lists; pair counts are weighted by
-    # word frequency and kept current merge by merge.
-    words = [list(w) for w in word_freq]
+    # distinct marked words as symbol-id lists; pair counts are weighted by
+    # word frequency and kept current merge by merge
+    words = [[sym_id[MARKER], *map(sym_id.__getitem__, w)] for w in word_freq]
     freqs = list(word_freq.values())
-    pair_freq: Counter[tuple[str, str]] = Counter()
-    where: dict[tuple[str, str], set[int]] = defaultdict(set)
-    for wi, syms in enumerate(words):
-        for pair in zip(syms, syms[1:]):
-            pair_freq[pair] += freqs[wi]
+    counts: dict[tuple[int, int], int] = {}
+    where: dict[tuple[int, int], set[int]] = defaultdict(set)
+    for wi, w in enumerate(words):
+        f = freqs[wi]
+        for pair in zip(w, w[1:]):
+            counts[pair] = counts.get(pair, 0) + f
             where[pair].add(wi)
-    # max-heap on count, smallest pair first among equal counts; an entry is
-    # stale once its count no longer equals pair_freq[pair]
-    heap = [(-c, p) for p, c in pair_freq.items()]
+    heap = [(-c, syms[a], syms[b], a, b) for (a, b), c in counts.items()]
     heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
 
     while len(vocab) < vocab_size and heap:
-        neg, best = heapq.heappop(heap)
-        if pair_freq.get(best) != -neg:
-            continue
-        merged = best[0] + best[1]
-        merges.append(best)
-        vocab[merged] = len(vocab)
-        changed: set[tuple[str, str]] = set()
-        for wi in where.pop(best):
-            syms = words[wi]
-            out = _merge_pair(syms, best, merged)
-            if len(out) == len(syms):
-                continue  # the index entry outlived the pair in this word
-            f = freqs[wi]
-            for pair in zip(syms, syms[1:]):
-                pair_freq[pair] -= f
-                changed.add(pair)
-            for pair in zip(out, out[1:]):
-                pair_freq[pair] += f
-                where[pair].add(wi)
-                changed.add(pair)
-            words[wi] = out
-        for pair in changed:
-            count = pair_freq[pair]
+        neg, left, right, a, b = heapq.heappop(heap)
+        count = counts.get((a, b), 0)
+        if count != -neg:
             if count:
-                heapq.heappush(heap, (-count, pair))
-            else:
-                del pair_freq[pair]
+                heapq.heappush(heap, (-count, left, right, a, b))
+            continue
+        merged = left + right
+        merges.append((left, right))
+        vocab[merged] = len(vocab)
+        m = sym_id.setdefault(merged, len(syms))
+        if m == len(syms):
+            syms.append(merged)
+        delta: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for wi in where.pop((a, b)):
+            w = words[wi]
+            out: list[int] = []
+            i, n, first = 0, len(w), -1
+            while i < n:
+                if w[i] == a and i + 1 < n and w[i + 1] == b:
+                    first, last = i if first < 0 else first, i
+                    out.append(m)
+                    i += 2
+                else:
+                    out.append(w[i])
+                    i += 1
+            if first < 0:
+                continue  # the index entry outlived the pair in this word
+            # the old and new words differ only from the symbol before the
+            # first merge to the one after the last, each merge one shorter
+            lo, f = max(first - 1, 0), freqs[wi]
+            old, new = w[lo : last + 3], out[lo : last + 3 - n + len(out)]
+            for pair in zip(old, old[1:]):
+                delta[pair] -= f
+            for pair in zip(new, new[1:]):
+                delta[pair] += f
+                where[pair].add(wi)
+            words[wi] = out
+        for pair, d in delta.items():
+            count = counts.pop(pair, 0) + d
+            if count:
+                counts[pair] = count
+            if d > 0:
+                heapq.heappush(heap, (-count, syms[pair[0]], syms[pair[1]], *pair))
 
     return TokenizerModel(vocab=vocab, merges=merges)
 
 
-def _merge_pair(syms: list[str], pair: tuple[str, str], merged: str) -> list[str]:
-    """Replace each occurrence of `pair` in `syms`, scanning left to right."""
-    out: list[str] = []
-    i = 0
-    while i < len(syms):
-        if i + 1 < len(syms) and syms[i] == pair[0] and syms[i + 1] == pair[1]:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(syms[i])
-            i += 1
-    return out
-
-
 def _bpe(model: TokenizerModel, word: str) -> tuple[str, ...]:
-    cached = model._cache.get(word)
-    if cached is not None:
-        return cached
     syms = tuple(word)
     ranks = model._ranks
     while len(syms) > 1:
@@ -189,15 +180,18 @@ def _bpe(model: TokenizerModel, word: str) -> tuple[str, ...]:
         if best_rank is None:
             break
         syms = syms[:best_i] + (syms[best_i] + syms[best_i + 1],) + syms[best_i + 2 :]
-    model._cache[word] = syms
     return syms
 
 
 def _text_to_ids(model: TokenizerModel, text: str) -> list[int]:
     ids: list[int] = []
-    for word in _marked_words(text):
-        for piece in _bpe(model, word):
-            ids.append(model.vocab.get(piece, UNK))
+    cache = model._cache
+    for word in normal_words(text):
+        word_ids = cache.get(word)
+        if word_ids is None:
+            word_ids = cache[word] = [model.vocab.get(piece, UNK)
+                                      for piece in _bpe(model, MARKER + word)]
+        ids += word_ids
     return ids
 
 

@@ -14,13 +14,15 @@ The kernels' first forms are kept too: the broadcast `take_along_axis`
 gather and its `np.add.at` scatter, the embedding backward that scatters
 into a zeroed table, and the Adam step built from whole-array temporaries.
 `decode`, the inverse of tokenizer encoding, lives here because only tests
-read ids back as text.
+read ids back as text, and so do `normalize`, the text `decode` gives back,
+and `_marked_words`, the words the reference trainer counts.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -37,7 +39,19 @@ from lusoforge.encoder import (
 )
 from lusoforge.errors import DataError, NumericalError
 from lusoforge.optim import BETA1, BETA2, EPS, Adam
-from lusoforge.tokenizer import MARKER, SPECIAL_TOKENS, TokenizerModel, _marked_words
+from lusoforge.tokenizer import MARKER, SPECIAL_TOKENS, TokenizerModel
+
+
+def normalize(text: str) -> str:
+    """NFC plus whitespace-run collapse; no case folding."""
+    return " ".join(unicodedata.normalize("NFC", text).split())
+
+
+def _marked_words(text: str) -> list[str]:
+    norm = normalize(text)
+    if not norm:
+        return []
+    return [MARKER + w for w in norm.split(" ")]
 
 
 def train_bpe_reference(texts, vocab_size: int) -> tuple[list[tuple[str, str]], dict[str, int]]:

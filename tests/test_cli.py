@@ -472,7 +472,7 @@ def test_unset_settings_resolve_to_config_defaults(ws, tmp_path, monkeypatch):
         seen.append(config)
         raise DataError("stop before the work")
 
-    monkeypatch.setattr(cli.pt, "train", lambda config, docs, tokenizer: record(config))
+    monkeypatch.setattr(cli.pt, "train", lambda config, docs, tokenizer, start: record(config))
     monkeypatch.setattr(cli.corpus_mod, "run_pipeline", lambda docs, config: record(config))
     out = tmp_path / "pre"
     assert cli.main(["pretrain", "--input", str(ws["filtered"]), "--tokenizer", str(ws["vocab"]),
@@ -1127,9 +1127,8 @@ def test_a_bad_artifact_is_one_data_error_line_before_any_work(ws, tmp_path, mon
     else:
         argv = _task_call(ws, command, checkpoint, "--seq-len", "32")
         argv[argv.index("--tokenizer") + 1] = str(tokenizer)
-    if artifact == "tokenizer":  # read before the corpus; the checkpoint is read after it
-        work.append("corpus_mod.read_jsonl")
-    _no_work(monkeypatch, *work)
+    # the tokenizer and the checkpoint are read and checked before the corpus
+    _no_work(monkeypatch, *work, "corpus_mod.read_jsonl")
     capsys.readouterr()
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
     lines = _one_error_line(capsys)
@@ -1361,6 +1360,24 @@ def test_malformed_corpus_record_is_one_data_error_line(ws, tmp_path, capsys, co
     assert "Traceback" not in err
     lines = [line for line in err.strip().splitlines() if not line.startswith("lusoforge: config")]
     assert len(lines) == 1 and lines[0].startswith(f"data error: {path}:2: "), lines
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("content", [b"", b'{"id": "a", "text": " \\t "}\n{"id": "b", "text": ""}\n'],
+                         ids=["empty-file", "whitespace-texts"])
+@pytest.mark.parametrize("command", ["tokenizer train", "pretrain"])
+def test_a_corpus_without_words_is_one_data_error_line(ws, tmp_path, monkeypatch, capsys,
+                                                        command, content):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(content)
+    extra = {"tokenizer train": ["--vocab-size", "160"],
+             "pretrain": ["--tokenizer", str(ws["vocab"]), "--preset", "micro",
+                          "--warmup-steps", "1", "--total-steps", "2"]}[command]
+    _no_work(monkeypatch, "tok_mod.train_tokenizer", "pt.train")
+    capsys.readouterr()
+    rc = cli.main([*command.split(), "--input", str(path), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert _one_error_line(capsys) == [f"data error: corpus file {path} holds no words to train on"]
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

@@ -243,7 +243,7 @@ def test_natural_paragraph_kept():
     assert brute_word_rep(NATURAL_PARAGRAPH, t.word_ngram) <= t.max_word_repetition
     assert brute_char_rep(NATURAL_PARAGRAPH, t.char_ngram) <= t.max_char_repetition
     assert nonalpha_ratio(NATURAL_PARAGRAPH) <= t.max_nonalpha
-    assert url_token_ratio(NATURAL_PARAGRAPH) <= t.max_url_ratio
+    assert url_token_ratio(NATURAL_PARAGRAPH, NATURAL_PARAGRAPH.split()) <= t.max_url_ratio
     assert quality_reason(d, t) is None
 
 
@@ -254,7 +254,7 @@ def test_word_repetition_matches_oracle():
         "a b c d e f g h i j " * 10,
     ]
     for text in samples:
-        assert word_repetition_ratio(text, 5) == brute_word_rep(text, 5)
+        assert word_repetition_ratio(text.split(), 5) == brute_word_rep(text, 5)
 
 
 def test_char_repetition_matches_oracle():
@@ -283,7 +283,7 @@ def test_nonalpha_rejection():
             parts.append(words[i])
     text = " ".join(parts)
     assert nonalpha_ratio(text) > 0.4
-    assert word_repetition_ratio(text, 5) <= 0.19
+    assert word_repetition_ratio(text.split(), 5) <= 0.19
     assert char_repetition_ratio(text, 10) <= 0.106
     assert quality_reason(doc(text), QualityThresholds()) == "non-alphabetic"
 
@@ -298,13 +298,13 @@ def test_url_ratio_rejection():
     for u in urls:
         parts.extend([next(wi), next(wi), next(wi), u])
     text = " ".join(parts)
-    assert url_token_ratio(text) > 0.2
+    assert url_token_ratio(text, text.split()) > 0.2
     assert quality_reason(doc(text), QualityThresholds()) == "url-ratio"
 
 
 def test_url_token_ratio_counts_schemes_and_www():
     text = "veja https://a.pt e www.b.pt mais texto comum aqui"
-    assert url_token_ratio(text) == pytest.approx(2 / 8)
+    assert url_token_ratio(text, text.split()) == pytest.approx(2 / 8)
 
 
 def test_thresholds_overridable():
@@ -348,10 +348,29 @@ def _pages(draw):
 def test_kernels_equal_their_oracles(text):
     for n in (1, 2, 5, 10):
         assert char_repetition_ratio(text, n) == brute_char_rep(text, n)
-        assert word_repetition_ratio(text, n) == brute_word_rep(text, n)
-        assert _shingles(text, n) == shingles_reference(text, n)
+        assert word_repetition_ratio(text.split(), n) == brute_word_rep(text, n)
     assert nonalpha_ratio(text) == nonalpha_reference(text)
-    assert url_token_ratio(text) == url_token_reference(text)
+    assert url_token_ratio(text, text.split()) == url_token_reference(text)
+
+
+# words drawn from a few, so that two pages share grams; "\u00e9" and "e\u0301"
+# are different words to the shingles, as they are to the reference
+_FEW_WORDS = st.lists(st.sampled_from(["ola", "mundo", "a", "\u00e9", "e\u0301"]),
+                      max_size=14).map(" ".join)
+_SHINGLE_TEXTS = st.one_of(_FEW_WORDS, st.text(alphabet=_POOL, max_size=12), _pages())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHINGLE_TEXTS, _SHINGLE_TEXTS)
+@example("", " \t ")
+@example("ola mundo a", "ola  mundo\ta")
+def test_shingle_keys_give_the_reference_sizes_and_overlap(a, b):
+    for n in (1, 2, 5, 10):
+        word_ids: dict[str, int] = {}
+        keys_a, keys_b = _shingles(a.split(), n, word_ids), _shingles(b.split(), n, word_ids)
+        want_a, want_b = shingles_reference(a, n), shingles_reference(b, n)
+        assert (len(keys_a), len(keys_b), len(keys_a & keys_b)) == (
+            len(want_a), len(want_b), len(want_a & want_b))
 
 
 @pytest.mark.parametrize("k, words", [(84, 1), (85, 2), (7131, 2), (7132, 3), (65536, 3),

@@ -3,12 +3,16 @@ serialization determinism, and round-trip properties."""
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lusoforge import tokenizer as tokenizer_module
 from lusoforge.errors import DataError
 from lusoforge.tokenizer import (
     CLS,
@@ -17,16 +21,17 @@ from lusoforge.tokenizer import (
     PAD,
     SEP,
     SPECIAL_TOKENS,
+    TokenizerModel,
     UNK,
     encode,
     encode_pair,
     load_tokenizer,
-    normalize,
+    normal_words,
     save_tokenizer,
     train_tokenizer,
 )
 
-from oracles import decode, train_bpe_reference
+from oracles import decode, normalize, train_bpe_reference
 
 
 # ----------------------------------------------------------------- training
@@ -93,13 +98,13 @@ def test_training_is_deterministic(toy_sentences):
 # ----------------------------------------------------------------- normalize
 
 def test_normalize_collapses_whitespace():
-    assert normalize("  ola \t mundo \n ") == "ola mundo"
+    assert normal_words("  ola \t mundo \n ") == ["ola", "mundo"]
 
 
 def test_normalize_applies_nfc():
     decomposed = "é"  # e + combining acute
     composed = "é"
-    assert normalize(decomposed) == composed
+    assert normal_words(decomposed) == [composed]
 
 
 # ----------------------------------------------------------------- encoding
@@ -353,3 +358,68 @@ def test_training_stops_when_pairs_run_out():
     model = train_tokenizer(["aaaa abab aaaa"], vocab_size=200)
     assert model.vocab_size < 200
     _assert_matches_oracle(["aaaa abab aaaa"], 200)
+
+
+def _zipf_texts(seed: int) -> list[str]:
+    """About 300 distinct words over "abcd", many of them letter runs and
+    alternations ("aaaa", "abab", "cdcdc"), each used ceil(40 / rank**1.1)
+    times, shuffled into lines of 12 words."""
+    rng = random.Random(seed)
+    words: dict[str, None] = {}
+    while len(words) < 300:
+        unit = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 2)))
+        stretch = unit * rng.randint(1, 5)
+        extra = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 3)))
+        words[(extra + stretch if rng.random() < 0.5 else stretch + extra)[:10]] = None
+    used = [w for rank, w in enumerate(words, start=1) for _ in range(math.ceil(40 / rank**1.1))]
+    rng.shuffle(used)
+    return [" ".join(used[i : i + 12]) for i in range(0, len(used), 12)]
+
+
+class _HeapSpy:
+    """`heapq` as the trainer calls it, counting re-queued entries: an entry
+    pushed for the pair whose entry was just popped stale."""
+
+    def __init__(self):
+        self.requeued = 0
+        self.popped = None
+        self.heapify = heapq.heapify
+
+    def heappop(self, heap):
+        entry = heapq.heappop(heap)
+        self.popped = entry[1:]
+        return entry
+
+    def heappush(self, heap, entry):
+        self.requeued += entry[1:] == self.popped
+        heapq.heappush(heap, entry)
+
+
+def test_training_matches_recount_oracle_on_zipf_runs(monkeypatch):
+    texts = _zipf_texts(seed=7)
+    spy = _HeapSpy()
+    monkeypatch.setattr(tokenizer_module, "heapq", spy)
+    # the specials, the letters and the marker: the merges start at this size
+    base = len(SPECIAL_TOKENS) + len(set("".join(texts)) - {" "}) + 1
+    for vocab_size in (base + 1, base + 20, base + 150, 10**6):
+        _assert_matches_oracle(texts, vocab_size)
+    # the budget of 10**6 ran the merges until no pair was left
+    assert len(train_tokenizer(texts, 10**6).vocab) < 10**6
+    # a pair's count fell below its queued entry, and the entry went back at the new count
+    assert spy.requeued > 0
+
+
+def test_a_warm_model_encodes_as_a_fresh_one(toy_tokenizer, toy_sentences):
+    # unseen characters, a marker inside a word, NFC-equivalent forms (e-acute
+    # and c-cedilla precomposed and decomposed) and a combining tilde
+    texts = [*toy_sentences, "w01 w01 w02", "\u4e16\u754c w01\u4e16 \u2581w01",
+             "\u00e9 e\u0301 \u00e7 c\u0327", "w0\u0303 \U0001d11e", " \t ", ""]
+    warm = TokenizerModel(vocab=toy_tokenizer.vocab, merges=toy_tokenizer.merges)
+    for text in texts + texts:  # the second pass reads every word from the cache
+        warm_ids = encode(warm, text, max_len=10**6, add_specials=False).ids
+        fresh = TokenizerModel(vocab=toy_tokenizer.vocab, merges=toy_tokenizer.merges)
+        assert warm_ids == encode(fresh, text, max_len=10**6, add_specials=False).ids
+        # encoding never changes what the cache holds
+        assert encode(warm, text, max_len=10**6, add_specials=False).ids == warm_ids
+    assert encode(warm, "\u00e9").ids == encode(warm, "e\u0301").ids
+    assert UNK in encode(warm, "\u4e16\u754c").ids
