@@ -383,15 +383,15 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer,
     DataError, again with the last periodic checkpoint left on disk, and no
     worker outlives the call.
 
-    Training starts from `start`, else from what `checkpoint_start` reads
-    from config.init_checkpoint, else from a fresh model of config.preset.
+    Training starts from `start` (see `checkpoint_start`), the only way a
+    checkpoint reaches `train`, else from a fresh model of config.preset.
     """
     root = np.random.SeedSequence(config.seed)
     init_ss, mask_ss, shuffle_ss, dropout_ss = root.spawn(4)
-    if start is None and not config.init_checkpoint:
+    if start is None:
         enc_config = build_encoder_config(config, tokenizer.vocab_size)
         start = enc_config, init_params(enc_config, np.random.default_rng(init_ss))
-    enc_config, params = start or checkpoint_start(config, tokenizer)
+    enc_config, params = start
     sequences = tokenize_corpus(corpus, tokenizer, config.seq_len)
     if not sequences:
         raise DataError("training corpus is empty after tokenization")
