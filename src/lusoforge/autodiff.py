@@ -192,22 +192,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with numpy broadcasting over leading dims.
 
     A product with a 2-D weight, [..., h] @ [h, n], runs as one 2-D GEMM over
-    the [prod(...), h] view, and its weight gradient is one GEMM too.
+    the [prod(...), h] view, and its weight gradient is one GEMM too. So does
+    slice g of a weight stack, [G, ..., h] @ [G, h, n], which takes weight g.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    if a.ndim > 2 and b.ndim == 2:
-        a2d = a.data.reshape(-1, a.shape[-1])
-        data = (a2d @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+    if a.ndim > b.ndim:
+        lead = b.shape[:-2]  # () for one weight, (G,) for a stack of G weights
+        if a.shape[:len(lead)] != lead:
+            raise ShapeError(f"matmul weight stack {b.shape} does not lead {a.shape}")
+        a_flat = a.data.reshape(lead + (-1, a.shape[-1]))
+        data = np.matmul(a_flat, b.data).reshape(a.shape[:-1] + (b.shape[-1],))
 
         def weight_backward(g):
-            g2d = g.reshape(-1, b.shape[1])
+            g_flat = g.reshape(lead + (-1, b.shape[-1]))
             if a.requires_grad:
-                _accumulate(a, (g2d @ b.data.T).reshape(a.shape))
+                _accumulate(a, np.matmul(g_flat, np.swapaxes(b.data, -1, -2)).reshape(a.shape))
             if b.requires_grad:
-                _accumulate(b, a2d.T @ g2d)
+                _accumulate(b, np.matmul(np.swapaxes(a_flat, -1, -2), g_flat))
 
         return _make(data, (a, b), weight_backward)
     data = np.matmul(a.data, b.data)
@@ -283,21 +287,21 @@ def take(a: Tensor, index: int, axis: int) -> Tensor:
 
 
 def _move_columns(x: np.ndarray, dst: slice, src: slice) -> np.ndarray:
-    """A new array with x[:, src] at [:, dst] and zeros elsewhere along axis 1."""
+    """A new array with x[..., src, :] at [..., dst, :] and zeros elsewhere along axis -2."""
     out = np.empty_like(x)
-    out[:, dst] = x[:, src]
-    out[:, :dst.start] = 0
-    out[:, dst.stop:] = 0
+    out[..., dst, :] = x[..., src, :]
+    out[..., :dst.start, :] = 0
+    out[..., dst.stop:, :] = 0
     return out
 
 
 def shift_seq(a: Tensor, offset: int) -> Tensor:
-    """Shift along axis 1 by `offset`, filling vacated positions with zeros.
+    """Shift along axis -2 by `offset`, filling vacated positions with zeros.
 
-    out[:, i] = a[:, i - offset]; used to express 1-D convolutions as a sum
-    of shifted matmuls.
+    out[..., i, :] = a[..., i - offset, :]; used to express 1-D convolutions
+    as a sum of shifted matmuls.
     """
-    n = a.shape[1]
+    n = a.shape[-2]
     offset = max(-n, min(offset, n))
     dst = slice(max(offset, 0), n + min(offset, 0))  # out[:, dst] = a[:, src]
     src = slice(max(-offset, 0), n - max(offset, 0))
@@ -365,32 +369,34 @@ def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
 
 
 def _sum_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted unique ids, the sum of the rows of each id)."""
+    """(sorted unique ids, the sum of the rows [..., N, h] of each id)."""
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
-    rows = rows[order]
+    rows = rows[..., order, :]
     first = np.ones(ids.size, dtype=bool)
     np.not_equal(ids[1:], ids[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    return ids[starts], np.add.reduceat(rows, starts, axis=0)
+    return ids[starts], np.add.reduceat(rows, starts, axis=-2)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup into an embedding table; ids is an integer ndarray."""
+    """Row lookup into an embedding table [V, h]; ids is an integer ndarray.
+    A stack of G tables [G, V, h] gives [G, *ids.shape, h]."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+    lead = table.shape[:-2]
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[-2]):
         raise ShapeError(
-            f"embedding ids out of range [0, {table.shape[0]}): "
+            f"embedding ids out of range [0, {table.shape[-2]}): "
             f"min={ids.min()} max={ids.max()}"
         )
-    data = table.data[ids]
+    data = table.data[(slice(None),) * len(lead) + (ids,)]
 
     def backward(g):
         if table.requires_grad:
-            rows, sums = _sum_rows(ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+            rows, sums = _sum_rows(ids.reshape(-1), g.reshape(lead + (-1, table.shape[-1])))
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            table.grad[rows] += sums
+            table.grad[..., rows, :] += sums
 
     return _make(data, (table,), backward)
 
@@ -483,21 +489,24 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-7) -> Tensor:
-    """Normalize over the last axis, then apply elementwise gain and bias."""
+    """Normalize over the last axis, then apply elementwise gain and bias
+    [h]; a stack of G gains and biases [G, h] applies slice g to x[g]."""
+    span = gain.shape[:-1] + (1,) * (x.ndim - gain.ndim) + x.shape[-1:]  # gain against x
+    rows = gain.shape[:-1] + (-1, x.shape[-1])  # the rows of each slice
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    data = xhat * gain.data.reshape(span) + bias.data.reshape(span)
 
     def backward(g):
         if gain.requires_grad:
-            _accumulate(gain, (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+            _accumulate(gain, (g * xhat).reshape(rows).sum(axis=-2))
         if bias.requires_grad:
-            _accumulate(bias, g.reshape(-1, x.shape[-1]).sum(axis=0))
+            _accumulate(bias, g.reshape(rows).sum(axis=-2))
         if x.requires_grad:
-            gx = g * gain.data
+            gx = g * gain.data.reshape(span)
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, (gx - m1 - xhat * m2) * inv)

@@ -292,7 +292,11 @@ def _cmd_pretrain(args, file_cfg: dict, man: RunManifest, out: Path):
         recorded["preset"] = None
     tokenizer = tok_mod.load_tokenizer(args.tokenizer)
     start = pt.checkpoint_start(config, tokenizer) if config.init_checkpoint else None
-    _, losslog = pt.train(config, _training_corpus(args.input), tokenizer, start)
+    docs = _training_corpus(args.input)
+    if not any(pt.tokenize_corpus([doc], tokenizer, config.seq_len) for doc in docs):
+        raise DataError(f"corpus file {args.input} holds no document of "
+                        f"{pt.MIN_SEQUENCE_TOKENS} tokens or more to train on")
+    _, losslog = pt.train(config, docs, tokenizer, start)
     emit_loss_curve(losslog, out / "loss_curve.csv", out / "loss_curve.svg")
     _write_manifest(man, out, recorded, [args.input, args.tokenizer, config.init_checkpoint],
                     [out / n for n in ("model.ckpt", "loss_log.csv", "loss_curve.csv",
@@ -340,11 +344,13 @@ def _cmd_finetune(args, file_cfg: dict, man: RunManifest, out: Path):
     enc_config, arrays, tokenizer, train_ex, dev_ex = _task_inputs(args, spec, fields, man.seed)
     model = ft.attach_head(enc_config, params_from_arrays(arrays), spec.head_type,
                            dropout=gp.dropout, seed=gp.seed)
-    result = ft.finetune(model, train_ex, dev_ex, gp, spec, tokenizer,
-                         seq_len=fields["seq_len"], epochs=fields["epochs"],
-                         batch_size=fields["batch_size"])
+    (result,) = ft.finetune(model, train_ex, dev_ex, [gp], spec, tokenizer,
+                            seq_len=fields["seq_len"], epochs=fields["epochs"],
+                            batch_size=fields["batch_size"])
+    if result.error is not None:
+        raise result.error
     ckpt_path = out / "model_finetuned.ckpt"
-    save_checkpoint(ckpt_path, model.config, model.params,
+    save_checkpoint(ckpt_path, model.config, model.slice(0),
                     meta={"task": spec.name, "head_type": spec.head_type,
                           "best_epoch": result.best_epoch})
     report = {
@@ -411,7 +417,9 @@ def _cmd_eval(args, file_cfg: dict, man: RunManifest, out: Path):
     check_inputs_fit(enc_config, args.checkpoint, tokenizer.vocab_size, fields["seq_len"])
     examples = _examples(args.data, spec)
     encoded, labels = ft.encode_examples(examples, tokenizer, fields["seq_len"])
-    score = ft.evaluate(model, encoded, labels, spec)
+    (score,) = ft.evaluate(model, encoded, labels, spec)
+    if isinstance(score, Exception):
+        raise score
     report = {"task": spec.name, "metric": spec.metric, "score": score,
               "examples": len(examples)}
     path = out / "eval_report.json"

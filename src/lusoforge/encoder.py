@@ -155,13 +155,24 @@ def init_params(config: EncoderConfig, rng: np.random.Generator, dtype=np.float3
 
 
 def _split_heads(x: Tensor, num_heads: int) -> Tensor:
-    b, s, h = x.shape
-    return ad.transpose(ad.reshape(x, (b, s, num_heads, h // num_heads)), (0, 2, 1, 3))
+    """[..., s, h] -> [..., heads, s, h / heads]."""
+    *lead, s, h = x.shape
+    n = len(lead)
+    return ad.transpose(ad.reshape(x, (*lead, s, num_heads, h // num_heads)),
+                        (*range(n), n + 1, n, n + 2))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
-    b, nh, s, dh = x.shape
-    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, s, nh * dh))
+    *lead, nh, s, dh = x.shape
+    n = len(lead)
+    return ad.reshape(ad.transpose(x, (*range(n), n + 1, n, n + 2)), (*lead, s, nh * dh))
+
+
+def _biased(x: Tensor, bias: Tensor) -> Tensor:
+    """x + bias [n]; a stack of G biases [G, n] adds slice g to x[g]."""
+    if bias.ndim > 1:
+        bias = ad.reshape(bias, bias.shape[:1] + (1,) * (x.ndim - 2) + bias.shape[1:])
+    return ad.add(x, bias)
 
 
 def _apply_mask(scores: Tensor, attn_mask: np.ndarray) -> Tensor:
@@ -189,30 +200,29 @@ def disentangled_scores(
     Shapes: H [B,S,h], P [2k,h]; `query` [B,m,h] holds the states of query
     positions 0..m-1 (default H, m = S). Each returned term is
     [B,heads,m,S]: the queries come from `query`, the keys from all of H.
+    With parameters stacked [G, ...], every shape here gains that leading G.
     """
-    b, s, h = H.shape
+    s = H.shape[-2]
     query = H if query is None else query
-    m = query.shape[1]
-    two_k = P.shape[0]
-    k = two_k // 2
+    m = query.shape[-2]
+    k = P.shape[-2] // 2
     wq, bq = params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]
     wk, bk = params[f"{prefix}.attn.wk"], params[f"{prefix}.attn.bk"]
 
-    Q = _split_heads(ad.add(ad.matmul(query, wq), bq), num_heads)   # [B,nh,m,dh]
-    K = _split_heads(ad.add(ad.matmul(H, wk), bk), num_heads)
+    Q = _split_heads(_biased(ad.matmul(query, wq), bq), num_heads)   # [B,nh,m,dh]
+    K = _split_heads(_biased(ad.matmul(H, wk), bk), num_heads)
     # position path shares Wq/Wk but takes no bias
-    dh = h // num_heads
-    Qr = ad.transpose(ad.reshape(ad.matmul(P, wq), (two_k, num_heads, dh)), (1, 0, 2))  # [nh,2k,dh]
-    Kr = ad.transpose(ad.reshape(ad.matmul(P, wk), (two_k, num_heads, dh)), (1, 0, 2))
+    Qr = _split_heads(ad.matmul(P, wq), num_heads)  # [nh,2k,dh]
+    Kr = _split_heads(ad.matmul(P, wk), num_heads)
 
     buckets = bucket_matrix(s, k)
 
     c2c = ad.matmul(Q, ad.swap_last2(K))                        # [B,nh,m,S]
     # c2p: score[i,j] = Q_i . Kr_{bucket(i,j)}
-    qkr = ad.matmul(Q, ad.swap_last2(ad.reshape(Kr, (1,) + Kr.shape)))  # [B,nh,m,2k]
+    qkr = ad.matmul(Q, ad.swap_last2(ad.reshape(Kr, Kr.shape[:-3] + (1,) + Kr.shape[-3:])))
     c2p = ad.gather_last(qkr, buckets[:m])
     # p2c: score[i,j] = K_j . Qr_{bucket(j,i)}; gather per key row then flip
-    kqr = ad.matmul(K, ad.swap_last2(ad.reshape(Qr, (1,) + Qr.shape)))  # [B,nh,S,2k]
+    kqr = ad.matmul(K, ad.swap_last2(ad.reshape(Qr, Qr.shape[:-3] + (1,) + Qr.shape[-3:])))
     p2c = ad.swap_last2(ad.gather_last(kqr, buckets[:, :m]))
     return c2c, c2p, p2c
 
@@ -236,15 +246,14 @@ def disentangled_attention(
     back to a uniform average of V (every score replaced by the same finite
     floor), which is the documented degenerate behavior rather than an error.
     """
-    b, s, h = H.shape
-    dh = h // num_heads
+    dh = H.shape[-1] // num_heads
     c2c, c2p, p2c = disentangled_scores(H, P, params, prefix, num_heads, query)
     scores = ad.scale(ad.add(ad.add(c2c, c2p), p2c), 1.0 / np.sqrt(3.0 * dh))
     A = _apply_mask(scores, attn_mask)
     probs = ad.softmax(A, axis=-1)
     probs = ad.dropout(probs, dropout_rate, rng)
     wv, bv = params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]
-    V = _split_heads(ad.add(ad.matmul(H, wv), bv), num_heads)
+    V = _split_heads(_biased(ad.matmul(H, wv), bv), num_heads)
     ctx = _merge_heads(ad.matmul(probs, V))
     return ctx, A
 
@@ -279,8 +288,8 @@ def standard_attention(
 
 
 def _ffn_sublayer(x: Tensor, params, prefix, eps, dropout_rate, rng) -> Tensor:
-    inner = ad.gelu(ad.add(ad.matmul(x, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
-    out = ad.add(ad.matmul(inner, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
+    inner = ad.gelu(_biased(ad.matmul(x, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
+    out = _biased(ad.matmul(inner, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
     out = ad.dropout(out, dropout_rate, rng)
     return ad.layer_norm(ad.add(x, out),
                          params[f"{prefix}.ffn.ln.gain"], params[f"{prefix}.ffn.ln.bias"], eps)
@@ -290,7 +299,7 @@ def _finish_attn_sublayer(residual: Tensor, raw: Tensor, params, prefix, eps, dr
                           addend: Tensor | None = None) -> Tensor:
     """Output projection, then `addend` (layer 0's conv branch, which wo does
     not project), dropout, residual and layer norm."""
-    out = ad.add(ad.matmul(raw, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
+    out = _biased(ad.matmul(raw, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
     if addend is not None:
         out = ad.add(out, addend)
     out = ad.dropout(out, dropout_rate, rng)
@@ -304,14 +313,14 @@ def conv1d_same(x: Tensor, attn_mask: np.ndarray, kernel: Tensor, bias: Tensor) 
     Padding positions are zeroed on the input so that a padded batch and its
     unpadded counterpart produce identical outputs at real positions.
     """
-    ksize = kernel.shape[0]
+    ksize = kernel.shape[-3]
     center = ksize // 2
     masked = ad.mul(x, Tensor(attn_mask[:, :, None].astype(x.data.dtype)))
     acc = None
     for j in range(ksize):
-        term = ad.matmul(ad.shift_seq(masked, center - j), ad.take(kernel, j, 0))
+        term = ad.matmul(ad.shift_seq(masked, center - j), ad.take(kernel, j, -3))
         acc = term if acc is None else ad.add(acc, term)
-    return ad.add(acc, bias)
+    return _biased(acc, bias)
 
 
 class _LeadingRows:
@@ -344,6 +353,8 @@ def encoder_forward(
     `last_rows` = m < S makes the last layer output only positions 0..m-1,
     [B, m, hidden]: its queries, residual, conv addend and FFN take those
     rows, and its keys, values and position terms all S positions.
+    Parameters stacked [G, ...] (a group of fine-tuning runs) run G models
+    over the same batch, each hidden state [G, B, S, hidden].
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -369,14 +380,14 @@ def encoder_forward(
     for i in range(config.num_layers):
         prefix = f"layer{i}"
         m = s if last_rows is None or i < config.num_layers - 1 else min(last_rows, s)
-        q = h if m == s else ad.narrow(h, 1, 0, m)
+        q = h if m == s else ad.narrow(h, -2, 0, m)
         layer_rng = rng if m == s or rng is None else _LeadingRows(rng, s)
         ctx, _ = disentangled_attention(h, P, attn_mask, params, prefix,
                                         config.num_heads, drop, layer_rng, query=q)
         conv = (conv1d_same(h, attn_mask, params["conv.kernel"], params["conv.bias"])
                 if i == 0 else None)
         if conv is not None and m < s:
-            conv = ad.narrow(conv, 1, 0, m)
+            conv = ad.narrow(conv, -2, 0, m)
         h = _finish_attn_sublayer(q, ctx, params, prefix, config.layer_norm_eps, drop,
                                   layer_rng, addend=conv)
         h = _ffn_sublayer(h, params, prefix, config.layer_norm_eps, drop, layer_rng)

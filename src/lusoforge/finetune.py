@@ -6,12 +6,12 @@ looks only at development scores (mean over seeds); the reported number is
 the selected configuration's test mean. Test scores are recorded for every
 run but never consulted during selection.
 
-The runs are independent and each is seeded by its own grid point, so
-`run_grid` runs them in forked worker processes (`workers.fork_pool`), one
-per usable CPU, and orders the records by grid index: the report is the
-same at any worker count. Each worker pins BLAS to one thread, and a
-worker's death fails only the grid point that caused it. With one usable
-CPU the runs go one after another in the calling process.
+A run's seed alone draws its head, batch order and dropout masks, so the 6
+runs of a (dropout, seed) differ only in lr and precision. `run_grid` trains
+each such group as one `TaskModel` stacked on a leading model axis, a slice
+per run that computes the bits of its run alone; a run's fault fails only
+its slice. The groups run in forked workers (`workers.fork_pool`), and the
+records come in grid order, so the report is the same at any worker count.
 
 Task examples come from TSV files (`read_task_tsv`) and are tokenized by
 `encode_examples`. One scorer, `evaluate`, turns predictions into the task
@@ -23,8 +23,8 @@ the first position of its last layer alone (`last_rows=1`): that layer's
 queries, residual and FFN run over one row, in training and in `predict`,
 while its keys and values span the sequence.
 
-Half precision is emulated: parameters are rounded through float16 storage
-after each optimizer step while all arithmetic stays float32.
+Half precision is emulated: an fp16 run's parameters are rounded through
+float16 storage after each optimizer step while all arithmetic stays float32.
 """
 
 from __future__ import annotations
@@ -180,47 +180,68 @@ def full_grid() -> list[GridPoint]:
 # task model
 
 
-class TaskModel:
-    """Encoder + freshly seeded linear head over the CLS representation.
+class _SharedMasks:
+    """A generator that draws each dropout mask at one slice's shape, for all slices."""
 
-    Its tensors are `param_shapes(config, head_type)`: the encoder's copied
-    in, the head's drawn from `seed`. The mask decoder gets no gradient from a
-    task head, so the model, its optimizer state and its checkpoint omit it.
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        return self.rng.random(shape[1:])
+
+
+class TaskModel:
+    """A group of `size` task models: encoder + freshly seeded linear head
+    over the CLS representation, stacked on a leading model axis.
+
+    Its tensors are `param_shapes(config, head_type)`, each [size, ...]:
+    every slice starts from the encoder's arrays and the head drawn from
+    `seed`. The mask decoder gets no gradient from a task head, so the
+    model, its optimizer state and its checkpoint omit it.
     """
 
     def __init__(self, enc_config: EncoderConfig, enc_params: dict[str, Tensor],
-                 head_type: str, dropout: float, seed: int):
+                 head_type: str, dropout: float, seed: int, size: int = 1):
         cfg = replace(enc_config, dropout_rate=dropout)
         head_rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
-        params = {name: init_tensor(name, shape, head_rng, np.float32) if name.startswith("head.")
-                  else Tensor(enc_params[name].data.copy(), requires_grad=True)
-                  for name, shape in param_shapes(cfg, head_type).items()}
+        params = {}
+        for name, shape in param_shapes(cfg, head_type).items():
+            one = (init_tensor(name, shape, head_rng, np.float32).data if name.startswith("head.")
+                   else enc_params[name].data)
+            params[name] = Tensor(np.repeat(one[None], size, axis=0), requires_grad=True)
         self.config = cfg
         self.head_type = head_type
+        self.size = size
         self.params = params
         self.encoder = DisentangledEncoder(cfg, params)
 
     def forward(self, ids, segments, attn_mask, rng=None) -> Tensor:
+        """The outputs [size, B, width] of every slice on one batch."""
+        rng = None if rng is None else _SharedMasks(rng)
         hidden = self.encoder.forward(ids, segments, attn_mask, rng, last_rows=1)
-        pooled = ad.take(hidden[-1], 0, axis=1)          # CLS position
+        pooled = ad.take(hidden[-1], 0, axis=-2)          # CLS position
         pooled = ad.dropout(pooled, self.config.dropout_rate, rng)
-        return ad.add(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
+        return ad.add(ad.matmul(pooled, self.params["head.w"]),
+                      ad.reshape(self.params["head.b"], (self.size, 1, -1)))
+
+    def slice(self, g: int) -> dict[str, np.ndarray]:
+        """The arrays of slice g, without the model axis."""
+        return {name: p.data[g] for name, p in self.params.items()}
 
 
 def attach_head(enc_config: EncoderConfig, enc_params: dict[str, Tensor],
-                head_type: str, dropout: float = 0.0, seed: int = 0) -> TaskModel:
-    return TaskModel(enc_config, enc_params, head_type, dropout, seed)
+                head_type: str, dropout: float = 0.0, seed: int = 0, size: int = 1) -> TaskModel:
+    return TaskModel(enc_config, enc_params, head_type, dropout, seed, size)
 
 
 def load_task_model(enc_config: EncoderConfig, arrays: dict[str, np.ndarray],
                     head_type: str) -> TaskModel:
-    """Rebuild a fine-tuned model from the arrays `load_checkpoint` checked
-    against `param_shapes(enc_config, head_type)`. `TaskModel` copies the
-    encoder arrays; the head takes its float32 arrays as they are."""
+    """Rebuild a fine-tuned model, as a group of one, from the arrays
+    `load_checkpoint` checked against `param_shapes(enc_config, head_type)`."""
     model = TaskModel(enc_config, {k: Tensor(v) for k, v in arrays.items()}, head_type,
                       dropout=0.0, seed=0)
-    model.params["head.w"].data = np.asarray(arrays["head.w"], dtype=np.float32)
-    model.params["head.b"].data = np.asarray(arrays["head.b"], dtype=np.float32)
+    for name in ("head.w", "head.b"):
+        model.params[name].data[0] = arrays[name]
     return model
 
 
@@ -251,54 +272,68 @@ def _pad_batch(encoded: Sequence[tok_mod.TokenSequence]):
 
 def predict(model: TaskModel, encoded,
             label_range: tuple[float, float] | None = None) -> np.ndarray:
-    """Deterministic (dropout-free) predictions: class ids or clipped values,
-    PREDICT_BATCH_SIZE examples per forward. The forward runs under
-    `no_grad`, so it builds no graph."""
+    """Deterministic (dropout-free) predictions of every slice, [size, N]:
+    class ids or clipped values, PREDICT_BATCH_SIZE examples per forward.
+    The forward runs under `no_grad`, so it builds no graph."""
     preds: list[np.ndarray] = []
     for start in range(0, len(encoded), PREDICT_BATCH_SIZE):
         ids, segs, mask = _pad_batch(encoded[start : start + PREDICT_BATCH_SIZE])
         with ad.no_grad():
             out = model.forward(ids, segs, mask, rng=None)
         if model.head_type == "regression":
-            vals = out.data[:, 0].astype(np.float64)
+            vals = out.data[..., 0].astype(np.float64)
             if label_range is not None:
                 vals = np.clip(vals, label_range[0], label_range[1])
             preds.append(vals)
         else:
-            preds.append(np.argmax(out.data, axis=1).astype(np.float64))
-    return np.concatenate(preds) if preds else np.zeros(0)
+            preds.append(np.argmax(out.data, axis=-1).astype(np.float64))
+    return np.concatenate(preds, axis=1) if preds else np.zeros((model.size, 0))
 
 
-def evaluate(model: TaskModel, encoded, labels, spec: TaskSpec) -> float:
-    """The task metric of the model's predictions against gold labels."""
-    preds = predict(model, encoded, label_range=spec.label_range)
-    if spec.head_type == "regression":
-        score = metric_fn(spec)(list(preds), list(labels))
-    else:
-        score = metric_fn(spec)([int(p) for p in preds], [int(g) for g in labels])
-    return float(score)
+def evaluate(model: TaskModel, encoded, labels, spec: TaskSpec) -> list:
+    """The task metric of each slice's predictions against gold labels, or
+    the exception its metric raised, so that the slice fails alone."""
+    regression = spec.head_type == "regression"
+    gold = list(labels) if regression else [int(g) for g in labels]
+    scores: list = []
+    for preds in predict(model, encoded, label_range=spec.label_range):
+        try:
+            scores.append(float(metric_fn(spec)(
+                list(preds) if regression else [int(p) for p in preds], gold)))
+        except Exception as e:  # noqa: BLE001  (one slice's fault)
+            scores.append(e)
+    return scores
 
 
-def _round_fp16(params: dict[str, Tensor]):
+def _round_fp16(params: dict[str, Tensor], slices: list[int]):
+    """Round the given slices of every parameter through float16 storage."""
     for p in params.values():
-        p.data = p.data.astype(np.float16).astype(np.float32)
+        for g in slices:
+            p.data[g] = p.data[g].astype(np.float16)
 
 
 @dataclass
 class FinetuneResult:
-    dev_score: float
-    best_epoch: int
-    epoch_scores: list[float]
-    model: TaskModel
+    """One slice's run; its scores count only when `error` is None."""
+    dev_score: float = -np.inf
+    best_epoch: int = -1
+    epoch_scores: list[float] = field(default_factory=list)
+    error: Exception | None = None
 
 
-def finetune(model: TaskModel, train_examples, dev_examples, grid_point: GridPoint,
+def finetune(model: TaskModel, train_examples, dev_examples, group: Sequence[GridPoint],
              spec: TaskSpec, tokenizer, seq_len: int = 128, epochs: int = 5,
-             batch_size: int = 16) -> FinetuneResult:
-    """Constant-lr fine-tuning of the whole model for `epochs` epochs.
+             batch_size: int = 16) -> list[FinetuneResult]:
+    """Constant-lr fine-tuning of the whole model for `epochs` epochs, slice
+    g as the run of `group[g]`.
 
-    The dev metric runs after every epoch; the weights of the best epoch
-    (earliest on ties) are restored into the returned model.
+    The points share the model's dropout rate and a seed (the batch order
+    and the dropout masks), so one forward, backward and Adam step per batch
+    serve them all; slice g trains at its own lr and, at fp16, is rounded
+    through float16 after each step. The dev metric runs after every epoch;
+    each slice's weights of its best epoch (earliest on ties) are restored
+    into the model. A non-finite gradient, a metric error or no usable dev
+    score fails its slice alone: its result holds the error.
     """
     if not dev_examples:
         raise DataError("finetune: dev split is empty")
@@ -307,45 +342,52 @@ def finetune(model: TaskModel, train_examples, dev_examples, grid_point: GridPoi
     train_enc, train_labels = encode_examples(train_examples, tokenizer, seq_len)
     dev_enc, dev_labels = encode_examples(dev_examples, tokenizer, seq_len)
 
-    opt = Adam(model.params, lr=grid_point.lr)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([grid_point.seed, 11]))
-    dropout_rng = (np.random.default_rng(np.random.SeedSequence([grid_point.seed, 13]))
-                   if grid_point.dropout > 0 else None)
+    opt = Adam(model.params, lr=[gp.lr for gp in group])
+    half = [g for g, gp in enumerate(group) if gp.precision == "fp16"]
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([group[0].seed, 11]))
+    dropout_rng = (np.random.default_rng(np.random.SeedSequence([group[0].seed, 13]))
+                   if model.config.dropout_rate > 0 else None)
 
-    best_score = -np.inf
-    best_epoch = -1
-    best_state: dict[str, np.ndarray] = {}
-    epoch_scores: list[float] = []
+    results = [FinetuneResult() for _ in group]
+    best_state = {k: p.data.copy() for k, p in model.params.items()}
     for epoch in range(epochs):
         order = shuffle_rng.permutation(len(train_enc))
         for start in range(0, len(order), batch_size):
             idxs = [int(i) for i in order[start : start + batch_size]]
             ids, segs, mask = _pad_batch([train_enc[i] for i in idxs])
             out = model.forward(ids, segs, mask, rng=dropout_rng)
+            # each slice's loss is the sum over its rows, so 1/B makes its mean
             if model.head_type == "regression":
                 target = Tensor(train_labels[idxs].astype(np.float32).reshape(-1, 1))
                 diff = ad.sub(out, target)
-                loss = ad.tensor_mean(ad.mul(diff, diff))
+                loss = ad.tensor_sum(ad.mul(diff, diff))
             else:
-                loss = ad.cross_entropy(out, train_labels[idxs].astype(np.int64))
+                labels = np.tile(train_labels[idxs].astype(np.int64), model.size)
+                loss = ad.cross_entropy(ad.reshape(out, (-1, out.shape[-1])), labels,
+                                        reduction="sum")
             opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-            if grid_point.precision == "fp16":
-                _round_fp16(model.params)
-        s = evaluate(model, dev_enc, dev_labels, spec)
-        epoch_scores.append(s)
-        if s > best_score:
-            best_score = s
-            best_epoch = epoch
-            best_state = {k: p.data.copy() for k, p in model.params.items()}
+            ad.backward(ad.scale(loss, 1.0 / len(idxs)))
+            for r, error in zip(results, opt.step()):
+                r.error = r.error or error
+            _round_fp16(model.params, half)
+        for g, (r, s) in enumerate(zip(results, evaluate(model, dev_enc, dev_labels, spec))):
+            if r.error is None and isinstance(s, Exception):
+                r.error = s
+            elif r.error is None:
+                r.epoch_scores.append(s)
+                if s > r.dev_score:
+                    r.dev_score, r.best_epoch = s, epoch
+                    for k, p in model.params.items():
+                        best_state[k][g] = p.data[g]
+        if all(r.error is not None for r in results):
+            break
 
-    if best_epoch < 0:
-        raise DataError("finetune: no epoch produced a usable dev score")
     for k, p in model.params.items():
         p.data = best_state[k]
-    return FinetuneResult(dev_score=best_score, best_epoch=best_epoch,
-                          epoch_scores=epoch_scores, model=model)
+    for r in results:
+        if r.error is None and r.best_epoch < 0:
+            r.error = DataError("finetune: no epoch produced a usable dev score")
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +408,12 @@ class RunRecord:
     error: str = ""
 
 
-def _blank_record(index: int, gp: GridPoint) -> RunRecord:
+def _record(index: int, gp: GridPoint, error: Exception | None = None, **scores) -> RunRecord:
+    """The record of grid point `index`: failed with `error`, else with `scores`."""
+    if error is not None:
+        scores = {"status": "failed", "error": f"{type(error).__name__}: {error}"}
     return RunRecord(index=index, dropout=gp.dropout, lr=gp.lr, precision=gp.precision,
-                     seed=gp.seed)
+                     seed=gp.seed, **scores)
 
 
 @dataclass
@@ -430,6 +475,14 @@ def select_config(rows: Sequence[ConfigRow]) -> ConfigRow | None:
                default=None)
 
 
+def grid_groups(grid: Sequence[GridPoint]) -> list[list[int]]:
+    """The indices of the points of each (dropout, seed), in order: 6 groups of 6 in full."""
+    groups: dict[tuple, list[int]] = {}
+    for index, gp in enumerate(grid):
+        groups.setdefault((gp.dropout, gp.seed), []).append(index)
+    return list(groups.values())
+
+
 def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: TaskSpec,
              tokenizer, train_examples, dev_examples, test_examples,
              grid: Sequence[GridPoint] | None = None, seq_len: int = 128,
@@ -437,58 +490,60 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
              on_run: Callable[[RunRecord, float | None], None] | None = None) -> MetricsReport:
     """Execute every grid point, then aggregate, select on dev, report test.
 
-    The points run in `min(len(grid), usable CPUs)` forked worker processes,
-    or one after another in this process when that is 1. Records are kept in
-    grid order whatever order the runs finish in. Failed runs are recorded
-    with their error, excluded from means, and counted in the report. A
-    worker that dies breaks the pool; each point left unfinished then runs
-    again alone in a one-worker pool, so only a point that kills its own
-    worker is recorded as failed. Each worker runs BLAS on one thread. Each
-    run fine-tunes a private model copy. `on_run(record, seconds)` is called
-    here as each run finishes, with the seconds the run took (None when its
-    worker died).
+    The points of each (dropout, seed) (`grid_groups`) fine-tune as one
+    stacked model, a slice per point, on a private copy of the encoder. The
+    groups run in `min(groups, usable CPUs)` forked worker processes, or one
+    after another here when that is 1. Records are kept in grid order.
+    Failed runs are recorded with their error, excluded from means, and
+    counted in the report; a run's own fault fails its slice alone. A worker
+    that dies breaks the pool; each group left unfinished then runs again
+    alone in a one-worker pool, so only a group that kills its own worker
+    has its runs recorded as failed. Each worker runs BLAS on one thread.
+    `on_run(record, seconds)` is called here once per record as its group
+    finishes, with the seconds the group took (None when its worker died).
     """
     grid = list(grid) if grid is not None else full_grid()
     if not grid:
         raise DataError("run_grid: empty grid")
+    groups = grid_groups(grid)
     test_enc, test_labels = encode_examples(test_examples, tokenizer, seq_len)
 
-    def one_run(index: int) -> tuple[RunRecord, float]:
-        """The record of grid point `index` and the seconds its run took."""
+    def one_group(n: int) -> tuple[list[RunRecord], float]:
+        """The records of group `n` and the seconds its runs took."""
         start = time.perf_counter()
-        gp = grid[index]
-        record = _blank_record(index, gp)
+        points = [grid[i] for i in groups[n]]
         try:
-            model = attach_head(enc_config, enc_params, spec.head_type,
-                                dropout=gp.dropout, seed=gp.seed)
-            result = finetune(model, train_examples, dev_examples, gp, spec,
-                              tokenizer, seq_len=seq_len, epochs=epochs,
-                              batch_size=batch_size)
-            record.dev_score = result.dev_score
-            record.test_score = evaluate(result.model, test_enc, test_labels, spec)
-            record.best_epoch = result.best_epoch
-        except Exception as e:  # a failed point must not sink the sweep
-            record.status = "failed"
-            record.error = f"{type(e).__name__}: {e}"
-        return record, time.perf_counter() - start
+            model = attach_head(enc_config, enc_params, spec.head_type, dropout=points[0].dropout,
+                                seed=points[0].seed, size=len(points))
+            results = finetune(model, train_examples, dev_examples, points, spec,
+                               tokenizer, seq_len=seq_len, epochs=epochs,
+                               batch_size=batch_size)
+            tests = evaluate(model, test_enc, test_labels, spec)
+            records = [_record(i, grid[i], r.error or (t if isinstance(t, Exception) else None),
+                               dev_score=r.dev_score, test_score=t, best_epoch=r.best_epoch)
+                       for i, r, t in zip(groups[n], results, tests)]
+        except Exception as e:  # a failed group must not sink the sweep
+            records = [_record(i, grid[i], e) for i in groups[n]]
+        return records, time.perf_counter() - start
 
     records: list[RunRecord | None] = [None] * len(grid)
 
-    def finished(record: RunRecord, seconds: float | None):
-        records[record.index] = record
-        if on_run is not None:
-            on_run(record, seconds)
+    def finished(done: list[RunRecord], seconds: float | None):
+        for record in done:
+            records[record.index] = record
+            if on_run is not None:
+                on_run(record, seconds)
 
-    workers = min(len(grid), len(os.sched_getaffinity(0)))
+    workers = min(len(groups), len(os.sched_getaffinity(0)))
     if workers == 1:
-        for index in range(len(grid)):
-            finished(*one_run(index))
+        for n in range(len(groups)):
+            finished(*one_group(n))
     else:
         from lusoforge.workers import BrokenProcessPool, as_completed, fork_pool
 
         unfinished = []
-        with fork_pool(workers, one_run) as submit:
-            futures = {submit(i): i for i in range(len(grid))}
+        with fork_pool(workers, one_group) as submit:
+            futures = {submit(n): n for n in range(len(groups))}
             for future in as_completed(futures):
                 try:
                     result = future.result()
@@ -496,18 +551,15 @@ def run_grid(enc_config: EncoderConfig, enc_params: dict[str, Tensor], spec: Tas
                     unfinished.append(futures[future])
                     continue
                 finished(*result)
-        # a dead worker broke the shared pool: rerun each point it left
-        # unfinished alone, so that only the point that kills its own
-        # worker is recorded as failed
-        for index in sorted(unfinished):
-            with fork_pool(1, one_run) as submit:
+        # a dead worker broke the shared pool: rerun each group it left
+        # unfinished alone, so that only the group that kills its own
+        # worker has its runs recorded as failed
+        for n in sorted(unfinished):
+            with fork_pool(1, one_group) as submit:
                 try:
-                    result = submit(index).result()
+                    result = submit(n).result()
                 except BrokenProcessPool as e:
-                    record = _blank_record(index, grid[index])
-                    record.status = "failed"
-                    record.error = f"BrokenProcessPool: {e}"
-                    result = record, None
+                    result = [_record(i, grid[i], e) for i in groups[n]], None
             finished(*result)
 
     rows = group_runs(records)

@@ -208,11 +208,13 @@ def mlm_logits_reference(params, config, ids, segments=None, attn_mask=None, rng
 
 
 def task_forward_reference(model, ids, segments, attn_mask, rng=None):
-    """`TaskModel.forward` over the full encoder graph: the last layer at every
-    position, then its CLS row, the pooled dropout and the linear head."""
-    hidden = encoder_forward(model.params, model.config, ids, segments, attn_mask, rng)
+    """`TaskModel.forward` of a group of one over the full encoder graph of
+    its unstacked slice: the last layer at every position, then its CLS row,
+    the pooled dropout and the linear head."""
+    params = {k: ad.Tensor(v) for k, v in model.slice(0).items()}
+    hidden = encoder_forward(params, model.config, ids, segments, attn_mask, rng)
     pooled = ad.dropout(ad.take(hidden[-1], 0, axis=1), model.config.dropout_rate, rng)
-    return ad.add(ad.matmul(pooled, model.params["head.w"]), model.params["head.b"])
+    return ad.add(ad.matmul(pooled, params["head.w"]), params["head.b"])
 
 
 def emd_paper_reference(params, config, H, attn_mask) -> np.ndarray:

@@ -1381,6 +1381,51 @@ def test_a_corpus_without_words_is_one_data_error_line(ws, tmp_path, monkeypatch
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_a_corpus_of_only_short_documents_is_one_data_error_line(ws, tmp_path, monkeypatch,
+                                                                 capsys):
+    # every document encodes to fewer than MIN_SEQUENCE_TOKENS tokens
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "ab"}\n{"id": "b", "text": "c d"}\n',
+                    encoding="utf-8")
+    _no_work(monkeypatch, "pt.train")
+    capsys.readouterr()
+    rc = cli.main(["pretrain", "--input", str(path), "--tokenizer", str(ws["vocab"]),
+                   "--preset", "micro", "--warmup-steps", "1", "--total-steps", "2",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert _one_error_line(capsys) == [
+        f"data error: corpus file {path} holds no document of 8 tokens or more to train on"]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+_CORPUS_EXTRA = {"corpus filter": ["--cc", "pt"], "corpus stats": [],
+                 "tokenizer train": ["--vocab-size", "160"],
+                 "pretrain": ["--preset", "micro", "--warmup-steps", "1", "--total-steps", "2"]}
+
+
+@pytest.mark.parametrize("form", ["missing", "truncated"])
+@pytest.mark.parametrize("command", sorted(_CORPUS_EXTRA))
+def test_a_missing_or_truncated_corpus_is_one_data_error_line(ws, tmp_path, monkeypatch,
+                                                              capsys, command, form):
+    path = tmp_path / "corpus.jsonl"
+    if form == "truncated":  # the second record ends mid-object
+        path.write_bytes(b'{"id": "a", "text": "um dois", "url": "https://a.pt/"}\n'
+                         b'{"id": "b", "text": "tres qua')
+    extra = list(_CORPUS_EXTRA[command])
+    if command in ("corpus stats", "pretrain"):
+        extra += ["--tokenizer", str(ws["vocab"])]
+    _no_work(monkeypatch, "corpus_mod.run_pipeline", "corpus_mod.corpus_stats",
+             "tok_mod.train_tokenizer", "pt.train")
+    capsys.readouterr()
+    rc = cli.main([*command.split(), "--input", str(path), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    lines = _one_error_line(capsys)
+    assert len(lines) == 1 and lines[0].startswith("data error: ") and str(path) in lines[0], lines
+    if form == "truncated":
+        assert lines[0].startswith(f"data error: {path}:2: "), lines
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_report_requires_some_input(tmp_path, capsys):
     assert cli.main(["report", "--out", str(tmp_path)]) == 1
     assert "needs" in capsys.readouterr().err

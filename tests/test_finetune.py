@@ -314,11 +314,11 @@ def test_attach_head_output_shapes(task_micro, task_tokenizer, small_splits):
     encoded = encode_all(task_tokenizer, small_splits[1][:3])
     for head_type, out_dim in (("regression", 1), ("binary_classification", 2)):
         model = attach_head(cfg, params, head_type, dropout=0.0, seed=7)
-        assert model.params["head.w"].data.shape == (cfg.hidden_size, out_dim)
-        assert np.array_equal(model.params["head.b"].data, np.zeros(out_dim, dtype=np.float32))
+        assert model.slice(0)["head.w"].shape == (cfg.hidden_size, out_dim)
+        assert np.array_equal(model.slice(0)["head.b"], np.zeros(out_dim, dtype=np.float32))
         ids, segs, mask = ft._pad_batch(encoded)
         out = model.forward(ids, segs, mask, rng=None)
-        assert out.data.shape == (3, out_dim)
+        assert out.data[0].shape == (3, out_dim)
 
 
 def test_attach_head_seeded_init(task_micro):
@@ -329,7 +329,7 @@ def test_attach_head_seeded_init(task_micro):
     expected = np.random.default_rng(np.random.SeedSequence([7, 77])).normal(
         0.0, 0.02, size=(cfg.hidden_size, 2)
     ).astype(np.float32)
-    assert np.array_equal(m1.params["head.w"].data, expected)
+    assert np.array_equal(m1.slice(0)["head.w"], expected)
     m3 = attach_head(cfg, params, "binary_classification", seed=8)
     assert not np.array_equal(m1.params["head.w"].data, m3.params["head.w"].data)
 
@@ -338,7 +338,7 @@ def test_attach_head_copies_encoder_params(task_micro):
     cfg, params = task_micro
     model = attach_head(cfg, params, "regression", seed=0)
     name = next(iter(params))
-    assert np.array_equal(model.params[name].data, params[name].data)
+    assert np.array_equal(model.slice(0)[name], params[name].data)
     before = params[name].data.copy()
     model.params[name].data += 1.0
     assert np.array_equal(params[name].data, before)
@@ -358,7 +358,7 @@ def test_task_model_carries_encoder_only(task_micro):
     assert not [k for k in model.params if k.startswith(("abspos.", "emd"))]
     schema = param_shapes(cfg, "binary_classification")
     assert list(model.params) == list(schema)
-    assert {k: p.shape for k, p in model.params.items()} == schema
+    assert {k: a.shape for k, a in model.slice(0).items()} == schema
 
 
 def task_batch(vocab_size, s, seed=0):
@@ -383,7 +383,7 @@ def test_task_model_matches_the_full_encoder_reference(dtype, tol, num_layers, s
     for name in ("head.w", "head.b"):
         model.params[name].data = model.params[name].data.astype(dtype)
     ids, segs, mask = task_batch(cfg.vocab_size, s)
-    got = model.forward(ids, segs, mask).data
+    got = model.forward(ids, segs, mask).data[0]
     want = task_forward_reference(model, ids, segs, mask).data
     assert got.dtype == want.dtype == dtype
     assert np.abs(got - want).max() <= tol * np.abs(want).max()
@@ -395,7 +395,7 @@ def test_task_model_training_forward_draws_dropout_as_the_full_graph():
                         "binary_classification", dropout=0.1, seed=3)
     ids, segs, mask = task_batch(cfg.vocab_size, 17)
     rng, full_rng = np.random.default_rng(13), np.random.default_rng(13)
-    got = model.forward(ids, segs, mask, rng=rng).data
+    got = model.forward(ids, segs, mask, rng=rng).data[0]
     want = task_forward_reference(model, ids, segs, mask, rng=full_rng).data
     assert rng.bit_generator.state == full_rng.bit_generator.state
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
@@ -413,7 +413,7 @@ def test_load_task_model_accepts_decoder_tensors(task_micro, tmp_path):
     assert list(loaded) == list(param_shapes(cfg, "binary_classification"))
     model = load_task_model(cfg, loaded, "binary_classification")
     assert list(model.params) == list(param_shapes(cfg, "binary_classification"))
-    assert np.array_equal(model.params["head.w"].data, arrays["head.w"])
+    assert np.array_equal(model.slice(0)["head.w"], arrays["head.w"])
 
 
 def test_load_task_model_requires_head(task_micro, tmp_path):
@@ -428,7 +428,7 @@ def test_load_task_model_requires_head(task_micro, tmp_path):
 def test_load_task_model_round_trip(task_micro, task_tokenizer, small_splits):
     cfg, params = task_micro
     model = attach_head(cfg, params, "binary_classification", seed=3)
-    arrays = {k: v.data.copy() for k, v in model.params.items()}
+    arrays = {k: v.copy() for k, v in model.slice(0).items()}
     rebuilt = load_task_model(cfg, arrays, "binary_classification")
     encoded = encode_all(task_tokenizer, small_splits[2][:4])
     ids, segs, mask = ft._pad_batch(encoded)
@@ -444,26 +444,26 @@ def test_load_task_model_round_trip(task_micro, task_tokenizer, small_splits):
 def test_predict_regression_clips_to_label_range(task_micro, task_tokenizer, small_splits):
     cfg, params = task_micro
     model = attach_head(cfg, params, "regression", seed=1)
-    model.params["head.b"].data = np.array([10.0], dtype=np.float32)
+    model.params["head.b"].data[0] = np.array([10.0], dtype=np.float32)
     encoded = encode_all(task_tokenizer, small_splits[1])
-    preds = predict(model, encoded, label_range=(1.0, 5.0))
+    (preds,) = predict(model, encoded, label_range=(1.0, 5.0))
     assert preds.shape == (len(encoded),)
     assert np.all(preds == 5.0)
-    raw = predict(model, encoded)
+    (raw,) = predict(model, encoded)
     assert np.all(raw > 5.0)
 
 
 def test_predict_classification_returns_class_ids(task_micro, task_tokenizer, small_splits):
     cfg, params = task_micro
     model = attach_head(cfg, params, "binary_classification", seed=1)
-    preds = predict(model, encode_all(task_tokenizer, small_splits[0]))
+    (preds,) = predict(model, encode_all(task_tokenizer, small_splits[0]))
     assert set(np.unique(preds)) <= {0.0, 1.0}
 
 
 def test_predict_empty_input(task_micro):
     cfg, params = task_micro
     model = attach_head(cfg, params, "regression", seed=1)
-    preds = predict(model, [])
+    (preds,) = predict(model, [])
     assert preds.shape == (0,)
 
 
@@ -483,10 +483,10 @@ def test_evaluate_scores_clipped_regression(task_micro, task_tokenizer, small_sp
     model = attach_head(cfg, params, "regression", seed=1)
     encoded = encode_all(task_tokenizer, small_splits[1])
     # centre the raw outputs on the top of STS's label range, so half get clipped
-    model.params["head.b"].data += np.float32(5.0 - np.median(predict(model, encoded)))
-    raw = predict(model, encoded)
+    model.params["head.b"].data += np.float32(5.0 - np.median(predict(model, encoded)[0]))
+    (raw,) = predict(model, encoded)
     assert raw.min() < 5.0 < raw.max()
-    score = ft.evaluate(model, encoded, raw, STS)
+    (score,) = ft.evaluate(model, encoded, raw, STS)
     assert isinstance(score, float)
     assert score == pearson(list(np.clip(raw, 1.0, 5.0)), list(raw))
     assert score < pearson(list(raw), list(raw))
@@ -496,11 +496,11 @@ def test_evaluate_casts_classification_labels_to_int(task_micro, task_tokenizer,
     cfg, params = task_micro
     model = attach_head(cfg, params, "binary_classification", seed=1)
     encoded = encode_all(task_tokenizer, small_splits[0])
-    preds = predict(model, encoded)
+    (preds,) = predict(model, encoded)
     # int() truncates 0.5 and 1.5 back to the predicted classes
-    score = ft.evaluate(model, encoded, preds + 0.5, RTE)
+    (score,) = ft.evaluate(model, encoded, preds + 0.5, RTE)
     assert isinstance(score, float) and score == 1.0
-    assert ft.evaluate(model, encoded, 1.0 - preds, RTE) == 0.0
+    assert ft.evaluate(model, encoded, 1.0 - preds, RTE) == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +515,13 @@ def test_finetune_zero_lr_is_identity(task_micro, task_tokenizer, small_splits):
     initial = {k: v.data.copy() for k, v in model.params.items()}
     dev_enc = encode_all(task_tokenizer, dev)
     dev_labels = [int(ex.label) for ex in dev]
-    before = accuracy([int(p) for p in predict(model, dev_enc)], dev_labels)
-    res = finetune(model, train, dev, gp, RTE, task_tokenizer,
-                   seq_len=32, epochs=2, batch_size=16)
+    before = accuracy([int(p) for p in predict(model, dev_enc)[0]], dev_labels)
+    (res,) = finetune(model, train, dev, [gp], RTE, task_tokenizer,
+                      seq_len=32, epochs=2, batch_size=16)
     assert res.dev_score == before
     assert res.epoch_scores == [before, before]
     assert res.best_epoch == 0
-    for k, v in res.model.params.items():
+    for k, v in model.params.items():
         assert np.array_equal(v.data, initial[k]), k
 
 
@@ -529,17 +529,18 @@ def test_finetune_deterministic(task_micro, task_tokenizer, small_splits):
     cfg, params = task_micro
     train, dev, _ = small_splits
     gp = GridPoint(0.1, 1e-3, "fp32", 42)
-    results = []
+    results, models = [], []
     for _ in range(2):
         model = attach_head(cfg, params, "binary_classification",
                             dropout=gp.dropout, seed=gp.seed)
-        results.append(finetune(model, train, dev, gp, RTE, task_tokenizer,
-                                seq_len=32, epochs=2, batch_size=8))
+        results += finetune(model, train, dev, [gp], RTE, task_tokenizer,
+                            seq_len=32, epochs=2, batch_size=8)
+        models.append(model)
     assert results[0].epoch_scores == results[1].epoch_scores
     assert results[0].best_epoch == results[1].best_epoch
-    for k in results[0].model.params:
-        assert np.array_equal(results[0].model.params[k].data,
-                              results[1].model.params[k].data), k
+    for k in models[0].params:
+        assert np.array_equal(models[0].params[k].data,
+                              models[1].params[k].data), k
 
 
 def test_finetune_restores_best_epoch(task_micro, task_tokenizer, small_splits):
@@ -547,15 +548,15 @@ def test_finetune_restores_best_epoch(task_micro, task_tokenizer, small_splits):
     train, dev, _ = small_splits
     gp = GridPoint(0.0, 1e-3, "fp32", 43)
     model = attach_head(cfg, params, "binary_classification", dropout=0.0, seed=43)
-    res = finetune(model, train, dev, gp, RTE, task_tokenizer,
-                   seq_len=32, epochs=3, batch_size=8)
+    (res,) = finetune(model, train, dev, [gp], RTE, task_tokenizer,
+                      seq_len=32, epochs=3, batch_size=8)
     assert len(res.epoch_scores) == 3
     assert res.dev_score == max(res.epoch_scores)
     assert res.best_epoch == res.epoch_scores.index(max(res.epoch_scores))
     # returned weights really are the best epoch's weights
     dev_enc = encode_all(task_tokenizer, dev)
     dev_labels = [int(ex.label) for ex in dev]
-    rescored = accuracy([int(p) for p in predict(res.model, dev_enc)], dev_labels)
+    rescored = accuracy([int(p) for p in predict(model, dev_enc)[0]], dev_labels)
     assert rescored == res.dev_score
 
 
@@ -565,8 +566,8 @@ def test_finetune_learns_separable_task(task_train, task_dev, task_tokenizer):
     params = init_params(cfg, np.random.default_rng(np.random.SeedSequence(5)))
     gp = GridPoint(0.0, 1e-3, "fp32", 41)
     model = attach_head(cfg, params, "binary_classification", dropout=0.0, seed=41)
-    res = finetune(model, task_train, task_dev, gp, RTE, task_tokenizer,
-                   seq_len=32, epochs=5, batch_size=16)
+    (res,) = finetune(model, task_train, task_dev, [gp], RTE, task_tokenizer,
+                      seq_len=32, epochs=5, batch_size=16)
     assert res.dev_score == 1.0
     assert res.epoch_scores[0] < 1.0  # started below ceiling, so it learned
 
@@ -577,9 +578,9 @@ def test_finetune_rejects_empty_splits(task_micro, task_tokenizer, small_splits)
     model = attach_head(cfg, params, "binary_classification", seed=0)
     gp = GridPoint(0.0, 1e-3, "fp32", 41)
     with pytest.raises(DataError, match="dev"):
-        finetune(model, train, [], gp, RTE, task_tokenizer)
+        finetune(model, train, [], [gp], RTE, task_tokenizer)
     with pytest.raises(DataError, match="train"):
-        finetune(model, [], dev, gp, RTE, task_tokenizer)
+        finetune(model, [], dev, [gp], RTE, task_tokenizer)
 
 
 def test_finetune_fp16_rounds_every_param(task_micro, task_tokenizer, small_splits):
@@ -587,9 +588,9 @@ def test_finetune_fp16_rounds_every_param(task_micro, task_tokenizer, small_spli
     train, dev, _ = small_splits
     gp = GridPoint(0.0, 1e-3, "fp16", 41)
     model = attach_head(cfg, params, "binary_classification", dropout=0.0, seed=41)
-    res = finetune(model, train, dev, gp, RTE, task_tokenizer,
-                   seq_len=32, epochs=1, batch_size=8)
-    for k, p in res.model.params.items():
+    finetune(model, train, dev, [gp], RTE, task_tokenizer,
+             seq_len=32, epochs=1, batch_size=8)
+    for k, p in model.params.items():
         half = p.data.astype(np.float16).astype(np.float32)
         assert np.array_equal(p.data, half), k
 
@@ -602,12 +603,13 @@ def test_finetune_precision_changes_trajectory(task_micro, task_tokenizer, small
         gp = GridPoint(0.0, 1e-3, precision, 41)
         model = attach_head(cfg, params, "binary_classification",
                             dropout=0.0, seed=41)
-        return finetune(model, train, dev, gp, RTE, task_tokenizer,
-                        seq_len=32, epochs=1, batch_size=8)
+        finetune(model, train, dev, [gp], RTE, task_tokenizer,
+                 seq_len=32, epochs=1, batch_size=8)
+        return model
 
     a, b = run("fp32"), run("fp16")
-    assert any(not np.array_equal(a.model.params[k].data, b.model.params[k].data)
-               for k in a.model.params)
+    assert any(not np.array_equal(a.params[k].data, b.params[k].data)
+               for k in a.params)
 
 
 def test_finetune_dropout_changes_trajectory(task_micro, task_tokenizer, small_splits):
@@ -618,12 +620,13 @@ def test_finetune_dropout_changes_trajectory(task_micro, task_tokenizer, small_s
         gp = GridPoint(dropout, 1e-3, "fp32", 41)
         model = attach_head(cfg, params, "binary_classification",
                             dropout=dropout, seed=41)
-        return finetune(model, train, dev, gp, RTE, task_tokenizer,
-                        seq_len=32, epochs=1, batch_size=8)
+        finetune(model, train, dev, [gp], RTE, task_tokenizer,
+                 seq_len=32, epochs=1, batch_size=8)
+        return model
 
     a, b = run(0.0), run(0.3)
-    assert any(not np.array_equal(a.model.params[k].data, b.model.params[k].data)
-               for k in a.model.params)
+    assert any(not np.array_equal(a.params[k].data, b.params[k].data)
+               for k in a.params)
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +760,10 @@ def test_run_grid_records_failures(task_micro, task_tokenizer, small_splits, mon
     train, dev, test = small_splits
     real = ft.finetune
 
-    def flaky(model, train_ex, dev_ex, gp, spec, tokenizer, **kw):
-        if gp.seed == 42:
+    def flaky(model, train_ex, dev_ex, group, spec, tokenizer, **kw):
+        if group[0].seed == 42:
             raise RuntimeError("injected failure")
-        return real(model, train_ex, dev_ex, gp, spec, tokenizer, **kw)
+        return real(model, train_ex, dev_ex, group, spec, tokenizer, **kw)
 
     monkeypatch.setattr(ft, "finetune", flaky)
     grid = [GridPoint(0.0, 1e-3, "fp32", s) for s in (41, 42, 43)]
@@ -814,6 +817,116 @@ def test_run_grid_leaves_pretrained_arrays_unchanged(task_micro, task_tokenizer,
     inside = dataclasses.asdict(full.runs[2])
     assert inside.pop("index") == 2
     assert record == inside
+
+
+# ---------------------------------------------------------------------------
+# a group of runs trains as one stacked model
+
+
+def stacked_and_solo(monkeypatch, cfg, params, spec, tokenizer, splits, group, poison=None):
+    """Run `group` as one grid group and each of its points alone, in this
+    process: (records, best-epoch weights) of the group's runs, then of the
+    solo runs, each weight set as {name: array of that run}. `poison(model,
+    g, gp)` edits slice g of a model before it trains."""
+    train, dev, test = splits
+    real = ft.finetune
+    weights = {}
+
+    def spy(model, train_ex, dev_ex, points, *a, **kw):
+        for g, gp in enumerate(points):
+            if poison is not None:
+                poison(model, g, gp)
+        results = real(model, train_ex, dev_ex, points, *a, **kw)
+        for g, gp in enumerate(points):
+            weights.setdefault(gp, []).append({k: v.copy() for k, v in model.slice(g).items()})
+        return results
+
+    monkeypatch.setattr(ft, "finetune", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    kw = dict(grid=group, seq_len=32, epochs=2, batch_size=8)
+    stacked = run_grid(cfg, params, spec, tokenizer, train, dev, test, **kw).runs
+    solo = [run_grid(cfg, params, spec, tokenizer, train, dev, test,
+                     **{**kw, "grid": [gp]}).runs[0] for gp in group]
+    for i, record in enumerate(solo):
+        record.index = i
+    return stacked, solo, weights
+
+
+def assert_slices_equal_solo(stacked, solo, weights, group):
+    assert [dataclasses.asdict(r) for r in stacked] == [dataclasses.asdict(r) for r in solo]
+    for gp in group:
+        together, alone = weights[gp]
+        assert list(together) == list(alone)
+        for name in together:
+            assert together[name].dtype == alone[name].dtype == np.float32
+            assert together[name].tobytes() == alone[name].tobytes(), (gp, name)
+
+
+@pytest.mark.parametrize("task", ["rte", "stsb"])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_a_stacked_group_equals_its_runs_one_by_one(task, dropout, task_micro, task_tokenizer,
+                                                     monkeypatch):
+    cfg, params = task_micro
+    spec = TASKS[task]
+    splits = tuple(synthetic_task_examples(spec, n, seed=30 + n) for n in (20, 8, 9))
+    group = [GridPoint(dropout, lr, p, 42) for lr in (1e-3, 3e-3) for p in ("fp32", "fp16")]
+    assert ft.grid_groups(group) == [[0, 1, 2, 3]]
+    stacked, solo, weights = stacked_and_solo(monkeypatch, cfg, params, spec, task_tokenizer,
+                                              splits, group)
+    assert [r.status for r in stacked] == ["ok"] * 4
+    assert_slices_equal_solo(stacked, solo, weights, group)
+
+
+def test_grid_groups_share_dropout_and_seed():
+    groups = ft.grid_groups(full_grid())
+    assert len(groups) == 6 and all(len(g) == 6 for g in groups)
+    assert sorted(i for g in groups for i in g) == list(range(36))
+    grid = full_grid()
+    for g in groups:
+        assert len({(grid[i].dropout, grid[i].seed) for i in g}) == 1
+        assert len({(grid[i].lr, grid[i].precision) for i in g}) == 6
+        assert g == sorted(g)
+
+
+def nan_head(model, g, gp):
+    if gp.lr == 3e-3 and gp.precision == "fp16":
+        model.params["head.w"].data[g] = np.nan
+
+
+def constant_regression(model, g, gp):
+    if gp.lr == 3e-3 and gp.precision == "fp16":
+        model.params["head.w"].data[g] = 0.0
+        model.params["head.b"].data[g] = 100.0  # clipped to 5.0 on every example
+
+
+def always_class_one(model, g, gp):  # and the other slices always class 0
+    one = gp.lr == 3e-3 and gp.precision == "fp16"
+    model.params["head.b"].data[g] = [-100.0, 100.0] if one else [100.0, -100.0]
+
+
+@pytest.mark.parametrize("task, poison, error", [
+    ("rte", nan_head, "NumericalError: non-finite gradient in parameter 'embed.tokens'"),
+    ("stsb", constant_regression, "DataError: pearson: undefined correlation on constant input"),
+    ("rte", always_class_one, "DataError: finetune: no epoch produced a usable dev score"),
+])
+def test_a_failure_fails_only_its_own_slice(task, poison, error, task_micro, task_tokenizer,
+                                            monkeypatch):
+    cfg, params = task_micro
+    spec = TASKS[task]
+    if poison is always_class_one:  # its dev scores are NaN, so no epoch is usable
+        accuracy_of = ft.met.accuracy
+        monkeypatch.setattr(ft.met, "accuracy", lambda pred, gold: (
+            float("nan") if set(pred) == {1} else accuracy_of(pred, gold)))
+    splits = tuple(synthetic_task_examples(spec, n, seed=30 + n) for n in (20, 8, 9))
+    group = [GridPoint(0.1, lr, p, 42) for lr in (1e-3, 3e-3) for p in ("fp32", "fp16")]
+    stacked, solo, weights = stacked_and_solo(monkeypatch, cfg, params, spec, task_tokenizer,
+                                              splits, group, poison)
+    assert [r.status for r in stacked] == ["ok", "ok", "ok", "failed"]
+    assert stacked[3].error == error
+    assert stacked[3].dev_score is stacked[3].test_score is stacked[3].best_epoch is None
+    del weights[group[3]]  # a failed run's weights are not kept
+    assert_slices_equal_solo(stacked, solo, weights, group[:3])
+    assert dataclasses.asdict(stacked[3]) == dataclasses.asdict(solo[3])
 
 
 @contextlib.contextmanager
@@ -874,10 +987,10 @@ def test_run_grid_worker_death_is_a_failed_record(task_micro, task_tokenizer, sm
     train, dev, test = small_splits
     real = ft.finetune
 
-    def crash(model, train_ex, dev_ex, gp, spec, tokenizer, **kw):
-        if gp.seed == 42:
+    def crash(model, train_ex, dev_ex, group, spec, tokenizer, **kw):
+        if group[0].seed == 42:
             os._exit(3)
-        return real(model, train_ex, dev_ex, gp, spec, tokenizer, **kw)
+        return real(model, train_ex, dev_ex, group, spec, tokenizer, **kw)
 
     monkeypatch.setattr(ft, "finetune", crash)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -903,10 +1016,10 @@ def test_run_grid_worker_death_fails_only_its_own_point(task_micro, task_tokeniz
     train, dev, test = small_splits
     real = ft.finetune
 
-    def crash(model, train_ex, dev_ex, gp, spec, tokenizer, **kw):
-        if gp.seed == 42:
+    def crash(model, train_ex, dev_ex, group, spec, tokenizer, **kw):
+        if group[0].seed == 42:
             os._exit(3)
-        return real(model, train_ex, dev_ex, gp, spec, tokenizer, **kw)
+        return real(model, train_ex, dev_ex, group, spec, tokenizer, **kw)
 
     monkeypatch.setattr(ft, "finetune", crash)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -924,6 +1037,35 @@ def test_run_grid_worker_death_fails_only_its_own_point(task_micro, task_tokeniz
         if r.status == "failed":
             assert r.error.startswith("BrokenProcessPool: ") and (r.index, None) in seen
     assert rep.n_failed == 2
+
+
+def test_run_grid_worker_death_fails_every_run_of_its_group(task_micro, task_tokenizer,
+                                                            small_splits, monkeypatch):
+    cfg, params = task_micro
+    train, dev, test = small_splits
+    real = ft.finetune
+
+    def crash(model, train_ex, dev_ex, group, spec, tokenizer, **kw):
+        if group[0].seed == 42:
+            os._exit(3)
+        return real(model, train_ex, dev_ex, group, spec, tokenizer, **kw)
+
+    monkeypatch.setattr(ft, "finetune", crash)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    grid = [GridPoint(0.0, lr, "fp32", s) for s in (41, 42, 43) for lr in (1e-3, 3e-3)]
+    seen = {}
+    with deadline(300):
+        rep = ft.run_grid(cfg, params, RTE, task_tokenizer, train, dev, test, grid=grid,
+                          seq_len=32, epochs=1, batch_size=16,
+                          on_run=lambda r, seconds: seen.setdefault(r.index, seconds))
+    assert multiprocessing.active_children() == []
+    assert [r.status for r in rep.runs] == ["ok", "ok", "failed", "failed", "ok", "ok"]
+    assert rep.runs[2].error == rep.runs[3].error
+    assert rep.runs[2].error.startswith("BrokenProcessPool: ") and "\n" not in rep.runs[2].error
+    # one call per record, with its group's seconds
+    assert sorted(seen) == list(range(6))
+    assert seen[2] is seen[3] is None
+    assert seen[0] == seen[1] > 0 and seen[4] == seen[5] > 0
 
 
 def test_grid_worker_initializer_pins_one_blas_thread():

@@ -25,7 +25,7 @@ def test_profile_of_a_tiny_eval_prints_the_block_table(tmp_path):
     config = preset("micro", vocab_size=tokenizer.vocab_size)
     model = attach_head(config, init_params(config, np.random.default_rng(0)),
                         rte.head_type, seed=1)
-    save_checkpoint(tmp_path / "ft.ckpt", model.config, model.params,
+    save_checkpoint(tmp_path / "ft.ckpt", model.config, model.slice(0),
                     meta={"task": "rte", "head_type": rte.head_type})
 
     done = subprocess.run(
