@@ -168,7 +168,7 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(ad.transpose(x, (*range(n), n + 1, n, n + 2)), (*lead, s, nh * dh))
 
 
-def _biased(x: Tensor, bias: Tensor) -> Tensor:
+def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     """x + bias [n]; a stack of G biases [G, n] adds slice g to x[g]."""
     if bias.ndim > 1:
         bias = ad.reshape(bias, bias.shape[:1] + (1,) * (x.ndim - 2) + bias.shape[1:])
@@ -209,8 +209,8 @@ def disentangled_scores(
     wq, bq = params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]
     wk, bk = params[f"{prefix}.attn.wk"], params[f"{prefix}.attn.bk"]
 
-    Q = _split_heads(_biased(ad.matmul(query, wq), bq), num_heads)   # [B,nh,m,dh]
-    K = _split_heads(_biased(ad.matmul(H, wk), bk), num_heads)
+    Q = _split_heads(add_bias(ad.matmul(query, wq), bq), num_heads)   # [B,nh,m,dh]
+    K = _split_heads(add_bias(ad.matmul(H, wk), bk), num_heads)
     # position path shares Wq/Wk but takes no bias
     Qr = _split_heads(ad.matmul(P, wq), num_heads)  # [nh,2k,dh]
     Kr = _split_heads(ad.matmul(P, wk), num_heads)
@@ -218,10 +218,10 @@ def disentangled_scores(
     buckets = bucket_matrix(s, k)
 
     c2c = ad.matmul(Q, ad.swap_last2(K))                        # [B,nh,m,S]
-    # c2p: score[i,j] = Q_i . Kr_{bucket(i,j)}
+    # c2p: score[i,j] = Q_i . Kr_{bucket(i,j)}, from qkr [B,nh,m,2k]
     qkr = ad.matmul(Q, ad.swap_last2(ad.reshape(Kr, Kr.shape[:-3] + (1,) + Kr.shape[-3:])))
     c2p = ad.gather_last(qkr, buckets[:m])
-    # p2c: score[i,j] = K_j . Qr_{bucket(j,i)}; gather per key row then flip
+    # p2c: score[i,j] = K_j . Qr_{bucket(j,i)}, from kqr [B,nh,S,2k]; gather per key row then flip
     kqr = ad.matmul(K, ad.swap_last2(ad.reshape(Qr, Qr.shape[:-3] + (1,) + Qr.shape[-3:])))
     p2c = ad.swap_last2(ad.gather_last(kqr, buckets[:, :m]))
     return c2c, c2p, p2c
@@ -253,7 +253,7 @@ def disentangled_attention(
     probs = ad.softmax(A, axis=-1)
     probs = ad.dropout(probs, dropout_rate, rng)
     wv, bv = params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]
-    V = _split_heads(_biased(ad.matmul(H, wv), bv), num_heads)
+    V = _split_heads(add_bias(ad.matmul(H, wv), bv), num_heads)
     ctx = _merge_heads(ad.matmul(probs, V))
     return ctx, A
 
@@ -288,8 +288,8 @@ def standard_attention(
 
 
 def _ffn_sublayer(x: Tensor, params, prefix, eps, dropout_rate, rng) -> Tensor:
-    inner = ad.gelu(_biased(ad.matmul(x, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
-    out = _biased(ad.matmul(inner, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
+    inner = ad.gelu(add_bias(ad.matmul(x, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
+    out = add_bias(ad.matmul(inner, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
     out = ad.dropout(out, dropout_rate, rng)
     return ad.layer_norm(ad.add(x, out),
                          params[f"{prefix}.ffn.ln.gain"], params[f"{prefix}.ffn.ln.bias"], eps)
@@ -299,7 +299,7 @@ def _finish_attn_sublayer(residual: Tensor, raw: Tensor, params, prefix, eps, dr
                           addend: Tensor | None = None) -> Tensor:
     """Output projection, then `addend` (layer 0's conv branch, which wo does
     not project), dropout, residual and layer norm."""
-    out = _biased(ad.matmul(raw, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
+    out = add_bias(ad.matmul(raw, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
     if addend is not None:
         out = ad.add(out, addend)
     out = ad.dropout(out, dropout_rate, rng)
@@ -320,7 +320,7 @@ def conv1d_same(x: Tensor, attn_mask: np.ndarray, kernel: Tensor, bias: Tensor) 
     for j in range(ksize):
         term = ad.matmul(ad.shift_seq(masked, center - j), ad.take(kernel, j, -3))
         acc = term if acc is None else ad.add(acc, term)
-    return _biased(acc, bias)
+    return add_bias(acc, bias)
 
 
 class _LeadingRows:

@@ -43,7 +43,8 @@ from lusoforge import autodiff as ad
 from lusoforge import metrics as met
 from lusoforge import tokenizer as tok_mod
 from lusoforge.autodiff import Tensor
-from lusoforge.encoder import DisentangledEncoder, EncoderConfig, init_tensor, param_shapes
+from lusoforge.encoder import (DisentangledEncoder, EncoderConfig, add_bias, init_tensor,
+                               param_shapes)
 from lusoforge.errors import DataError, UsageError
 from lusoforge.optim import Adam
 
@@ -221,8 +222,7 @@ class TaskModel:
         hidden = self.encoder.forward(ids, segments, attn_mask, rng, last_rows=1)
         pooled = ad.take(hidden[-1], 0, axis=-2)          # CLS position
         pooled = ad.dropout(pooled, self.config.dropout_rate, rng)
-        return ad.add(ad.matmul(pooled, self.params["head.w"]),
-                      ad.reshape(self.params["head.b"], (self.size, 1, -1)))
+        return add_bias(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
 
     def slice(self, g: int) -> dict[str, np.ndarray]:
         """The arrays of slice g, without the model axis."""

@@ -925,8 +925,7 @@ def test_a_failure_fails_only_its_own_slice(task, poison, error, task_micro, tas
     assert stacked[3].error == error
     assert stacked[3].dev_score is stacked[3].test_score is stacked[3].best_epoch is None
     del weights[group[3]]  # a failed run's weights are not kept
-    assert_slices_equal_solo(stacked, solo, weights, group[:3])
-    assert dataclasses.asdict(stacked[3]) == dataclasses.asdict(solo[3])
+    assert_slices_equal_solo(stacked, solo, weights, group[:3])  # records: all four
 
 
 @contextlib.contextmanager
