@@ -8,8 +8,11 @@ Runs `lusoforge.cli.main(ARGV)` once in this process under `Tracer` from
 block table: the forward and backward milliseconds of each op kind and of
 each model block, the graph walk, the node count and Adam, summed over the
 whole call (the benchmark divides the same sums by the optimizer steps,
-which are printed too), then every other non-zero row of the tracer. The
-call's own stdout goes to stderr. The exit code is the call's.
+which are printed too), then every other non-zero row of the tracer, then
+the two memory rows a run's manifest records: the peak resident MB of this
+process (`peak_rss_mb`, the one process the benchmark's `peak_rss_mb`
+sees) and of its largest worker process (`workers_peak_rss_mb`, 0 without
+workers). The call's own stdout goes to stderr. The exit code is the call's.
 
 Only this process is traced. `sweep` runs its grid in forked workers, and
 `pretrain` its micro-batches, whenever more than one CPU is usable, so pin
@@ -30,8 +33,9 @@ MODULES = ("autodiff", "encoder", "optim", "checkpoint", "tokenizer", "corpus", 
            "finetune", "manifest", "cli")
 
 
-def table(tracer, tracing) -> list[str]:
-    """One `name value unit` line per row, summed over the traced call."""
+def table(tracer, tracing, memory: dict[str, float]) -> list[str]:
+    """One `name value unit` line per row, summed over the traced call, then
+    the `memory` rows in MB."""
     rows = []
     for kind in tracing.KINDS:
         for d, times in (("fwd", tracer.fwd), ("bwd", tracer.bwd)):
@@ -51,6 +55,7 @@ def table(tracer, tracing) -> list[str]:
     rows += [(name, value, units[name]) for name, value in tracer.metrics().items()
              if value and name not in shown and not name.startswith(("autodiff.", "encoder.",
                                                                        "optim."))]
+    rows += [(name, value, "MB") for name, value in memory.items()]
     width = max(len(name) for name, _, _ in rows)
     return [f"{name:<{width}}  {value:12.3f}  {unit}" for name, value, unit in rows]
 
@@ -72,7 +77,7 @@ def main(argv: list[str]) -> int:
     finally:
         tracer.restore()
     print(f"profile of: {' '.join(argv)}")
-    print("\n".join(table(tracer, tracing)))
+    print("\n".join(table(tracer, tracing, lf.manifest.peak_rss_mb())))
     return rc
 
 

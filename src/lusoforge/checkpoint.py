@@ -10,10 +10,18 @@ Layout:
 Sorted order plus canonical JSON makes save(load(f)) reproduce f byte for
 byte, which the reproducibility contract leans on.
 
+I/O holds one tensor in flight. `save_checkpoint` computes the directory
+from the shapes and writes each tensor from its own buffer, through a
+float32 copy of that tensor alone when it is not little-endian float32
+already. `load_checkpoint` reads each tensor straight into a fresh array of
+its own. So neither holds a second copy of the model: at the xlarge preset
+that copy would be 3.4 GiB.
+
 A checkpoint holds a config of well-typed fields and the tensors that
 `encoder.param_shapes` declares for it and its meta `head_type`.
-`load_checkpoint` checks both before it reads any payload: a bad field or
-the first missing, extra, misshaped or wrongly sized tensor is one DataError.
+`load_checkpoint` checks both, against the file's size, before it reads any
+payload: a bad field or the first missing, extra, misshaped or wrongly sized
+tensor is one DataError.
 A fine-tuned checkpoint may also hold its config's decoder tensors, as older
 versions wrote; they are dropped.
 """
@@ -38,16 +46,13 @@ FORMAT_VERSION = 1
 def save_checkpoint(path: str | Path, config: EncoderConfig,
                     params: dict[str, Tensor], meta: dict | None = None):
     """Write atomically: temp file in the target directory, then rename."""
+    arrays = {name: params[name].data if isinstance(params[name], Tensor) else params[name]
+              for name in sorted(params)}
     directory: dict[str, dict] = {}
     offset = 0
-    blobs: list[bytes] = []
-    for name in sorted(params):
-        data = params[name].data if isinstance(params[name], Tensor) else params[name]
-        arr = np.ascontiguousarray(data, dtype="<f4")
-        blob = arr.tobytes()
-        directory[name] = {"shape": list(arr.shape), "offset": offset, "size": len(blob)}
-        blobs.append(blob)
-        offset += len(blob)
+    for name, data in arrays.items():
+        directory[name] = {"shape": list(data.shape), "offset": offset, "size": 4 * data.size}
+        offset += 4 * data.size
     header = {
         "format_version": FORMAT_VERSION,
         "config": asdict(config),
@@ -58,7 +63,10 @@ def save_checkpoint(path: str | Path, config: EncoderConfig,
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as f:
-        f.writelines([struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
+        f.write(struct.pack("<Q", len(header_bytes)))
+        f.write(header_bytes)
+        for data in arrays.values():
+            f.write(np.ascontiguousarray(data, dtype="<f4"))  # a copy only if not "<f4" already
     os.replace(tmp, path)
 
 
@@ -66,16 +74,22 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
     """(config, arrays in `param_shapes` order, meta); any fault is one DataError."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as f:
+            return _read(path, f)
     except OSError as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from e
-    if len(raw) < 8:
-        raise DataError(f"checkpoint {path} truncated: {len(raw)} bytes")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if 8 + header_len > len(raw):
+
+
+def _read(path: Path, f) -> tuple[EncoderConfig, dict[str, np.ndarray], dict]:
+    """`load_checkpoint` of `path`, open as `f`."""
+    file_size = os.fstat(f.fileno()).st_size
+    if file_size < 8:
+        raise DataError(f"checkpoint {path} truncated: {file_size} bytes")
+    (header_len,) = struct.unpack("<Q", f.read(8))
+    if 8 + header_len > file_size:
         raise DataError(f"checkpoint {path} header overruns file")
     try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(f.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"checkpoint {path} has a corrupt header: {e}") from e
     if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
@@ -92,7 +106,7 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
         raise DataError(f"checkpoint {path} names an unknown head type {head_type!r}")
     schema = param_shapes(config, head_type)
     dropped = param_shapes(config).keys() - schema.keys() if head_type else set()
-    payload = raw[8 + header_len :]
+    payload = file_size - 8 - header_len
     spans = {}
     for name in [*schema, *sorted(directory.keys() - schema.keys() - dropped)]:
         if name not in schema or name not in directory:
@@ -102,13 +116,16 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
         nbytes = 4 * np.prod(shape, dtype=object)  # Python ints, which cannot wrap
         if not (isinstance(entry, dict) and entry.get("shape") == shape
                 and entry.get("size") == nbytes and type(entry.get("offset")) is int
-                and 0 <= entry["offset"] <= len(payload) - nbytes):
+                and 0 <= entry["offset"] <= payload - nbytes):
             raise DataError(f"checkpoint {path}: tensor {name!r} has entry {entry}, but its "
-                            f"model needs shape {shape}, {nbytes} bytes within {len(payload)}")
-        spans[name] = entry["offset"], nbytes
-    tensors = {name: np.frombuffer(payload[start : start + nbytes], dtype="<f4")
-               .reshape(schema[name]).copy()  # writable, owned
-               for name, (start, nbytes) in spans.items()}
+                            f"model needs shape {shape}, {nbytes} bytes within {payload}")
+        spans[name] = entry["offset"]
+    tensors = {}
+    for name, offset in spans.items():
+        arr = tensors[name] = np.empty(schema[name], dtype="<f4")  # writable, owned
+        f.seek(8 + header_len + offset)
+        if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise DataError(f"checkpoint {path} shrank while it was read")
     return config, tensors, meta
 
 

@@ -270,21 +270,17 @@ def _pad_batch(encoded: Sequence[tok_mod.TokenSequence]):
     return ids, segs, mask
 
 
-def predict(model: TaskModel, encoded,
-            label_range: tuple[float, float] | None = None) -> np.ndarray:
+def predict(model: TaskModel, encoded) -> np.ndarray:
     """Deterministic (dropout-free) predictions of every slice, [size, N]:
-    class ids or clipped values, PREDICT_BATCH_SIZE examples per forward.
-    The forward runs under `no_grad`, so it builds no graph."""
+    class ids or the raw regression outputs, PREDICT_BATCH_SIZE examples per
+    forward. The forward runs under `no_grad`, so it builds no graph."""
     preds: list[np.ndarray] = []
     for start in range(0, len(encoded), PREDICT_BATCH_SIZE):
         ids, segs, mask = _pad_batch(encoded[start : start + PREDICT_BATCH_SIZE])
         with ad.no_grad():
             out = model.forward(ids, segs, mask, rng=None)
         if model.head_type == "regression":
-            vals = out.data[..., 0].astype(np.float64)
-            if label_range is not None:
-                vals = np.clip(vals, label_range[0], label_range[1])
-            preds.append(vals)
+            preds.append(out.data[..., 0].astype(np.float64))
         else:
             preds.append(np.argmax(out.data, axis=-1).astype(np.float64))
     return np.concatenate(preds, axis=1) if preds else np.zeros((model.size, 0))
@@ -296,7 +292,7 @@ def evaluate(model: TaskModel, encoded, labels, spec: TaskSpec) -> list:
     regression = spec.head_type == "regression"
     gold = list(labels) if regression else [int(g) for g in labels]
     scores: list = []
-    for preds in predict(model, encoded, label_range=spec.label_range):
+    for preds in predict(model, encoded):
         try:
             scores.append(float(metric_fn(spec)(
                 list(preds) if regression else [int(p) for p in preds], gold)))

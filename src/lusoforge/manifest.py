@@ -27,6 +27,17 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def peak_rss_mb() -> dict[str, float]:
+    """Peak resident memory in MB so far of this process (`peak_rss_mb`) and
+    of its largest waited-for child, such as a worker (`workers_peak_rss_mb`,
+    0 without one)."""
+    import resource  # here, so importing the package does no more work
+
+    return {key: resource.getrusage(who).ru_maxrss / 1024.0  # Linux counts KiB
+            for key, who in (("peak_rss_mb", resource.RUSAGE_SELF),
+                             ("workers_peak_rss_mb", resource.RUSAGE_CHILDREN))}
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -46,11 +57,20 @@ class RunManifest:
 
     def write(self, path: str | Path):
         """Stamp `finished_at` unless it is set, then write atomically: to a
-        sibling temp file, renamed over the target."""
+        sibling temp file, renamed over the target. The record adds
+        `peak_rss_mb` and the library versions."""
+        import platform
+
+        import numpy
+        import scipy
+
         if not self.finished_at:
             self.finished_at = _now()
+        record = {**asdict(self), **peak_rss_mb(),
+                  "versions": {"python": platform.python_version(),
+                               "numpy": numpy.__version__, "scipy": scipy.__version__}}
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(asdict(self), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+        tmp.write_text(json.dumps(record, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
                        encoding="utf-8")
         os.replace(tmp, path)

@@ -6,7 +6,9 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from conftest import make_documents
 
 import lusoforge
@@ -571,6 +574,31 @@ def test_manifest_spans_the_run(ws, tmp_path, monkeypatch):
     man = json.loads((out / "manifest.json").read_text())
     started, finished = (datetime.fromisoformat(man[k]) for k in ("started_at", "finished_at"))
     assert (finished - started).total_seconds() >= took[0] > 0
+    # peak RSS so far, in MB, of this process and of its largest finished child
+    own, children = (resource.getrusage(who).ru_maxrss / 1024.0
+                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    assert 0 < man["peak_rss_mb"] <= own
+    assert 0 <= man["workers_peak_rss_mb"] <= children
+    if len(os.sched_getaffinity(0)) > 1:  # 4 accumulated micro-batches ran in workers
+        assert man["workers_peak_rss_mb"] > 0
+    assert man["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
+                               "scipy": scipy.__version__}
+
+
+def test_manifest_of_a_run_without_workers_records_no_worker_memory(ws, tmp_path):
+    out = tmp_path / "pre"
+    argv = ["pretrain", "--input", str(ws["filtered"]), "--tokenizer", str(ws["vocab"]),
+            "--preset", "micro", "--seq-len", "32", "--micro-batch-size", "4",
+            "--accumulation-steps", "1", "--warmup-steps", "2", "--total-steps", "3",
+            "--checkpoint-every", "0", "--out", str(out)]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "lusoforge.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["peak_rss_mb"] > 0
+    assert man["workers_peak_rss_mb"] == 0
 
 
 def _continue_pretraining(ws, out, checkpoint, *extra):
@@ -641,6 +669,29 @@ def test_finetune_artifacts(ws):
     man = json.loads((fin / "manifest.json").read_text())
     assert man["command"] == "finetune"
     assert man["config"]["task"] == "rte"
+
+
+@pytest.mark.parametrize("task", ["sts", "stsb"])
+def test_a_full_grid_sweep_of_a_regression_task_fails_no_run(task, tmp_path):
+    # a fresh head's outputs lie below sts's label range [1, 5]; clipped to it,
+    # they were constant, and Pearson failed every sts run
+    spec = TASKS[task]
+    train, test = synthetic_task_examples(spec, 64, seed=5), synthetic_task_examples(spec, 16, seed=6)
+    write_task_tsv(train, tmp_path / "train.tsv", spec)
+    write_task_tsv(test, tmp_path / "test.tsv", spec)
+    tokenizer = tok_mod.train_tokenizer([e.sentence_a for e in train] + [e.sentence_b for e in train],
+                                        vocab_size=128)
+    tok_mod.save_tokenizer(tokenizer, tmp_path / "vocab.json")
+    config = preset("micro", vocab_size=tokenizer.vocab_size)
+    save_checkpoint(tmp_path / "fresh.ckpt", config, init_params(config, np.random.default_rng(0)))
+    assert cli.main(["sweep", "--task", task, "--checkpoint", str(tmp_path / "fresh.ckpt"),
+                     "--tokenizer", str(tmp_path / "vocab.json"),
+                     "--train", str(tmp_path / "train.tsv"), "--test", str(tmp_path / "test.tsv"),
+                     "--grid", "full", "--epochs", "2", "--seq-len", "32",
+                     "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "metrics_report.json").read_text())
+    assert [r["status"] for r in report["runs"]] == ["ok"] * 36
+    assert report["selected_config"] is not None
 
 
 def test_finetuned_checkpoint_is_encoder_only(ws):

@@ -441,16 +441,17 @@ def test_load_task_model_round_trip(task_micro, task_tokenizer, small_splits):
 # predict
 
 
-def test_predict_regression_clips_to_label_range(task_micro, task_tokenizer, small_splits):
+def test_predict_regression_returns_raw_outputs(task_micro, task_tokenizer, small_splits):
     cfg, params = task_micro
     model = attach_head(cfg, params, "regression", seed=1)
     model.params["head.b"].data[0] = np.array([10.0], dtype=np.float32)
-    encoded = encode_all(task_tokenizer, small_splits[1])
-    (preds,) = predict(model, encoded, label_range=(1.0, 5.0))
+    encoded = encode_all(task_tokenizer, small_splits[1])  # one forward's worth
+    (preds,) = predict(model, encoded)
     assert preds.shape == (len(encoded),)
-    assert np.all(preds == 5.0)
-    (raw,) = predict(model, encoded)
-    assert np.all(raw > 5.0)
+    # above every task's label range, and not clipped to it
+    assert np.all(preds > 5.0)
+    out = model.forward(*ft._pad_batch(encoded), rng=None).data
+    assert np.array_equal(preds, out[0, :, 0].astype(np.float64))
 
 
 def test_predict_classification_returns_class_ids(task_micro, task_tokenizer, small_splits):
@@ -478,18 +479,19 @@ def test_predict_batch_size_invariant(task_micro, task_tokenizer, small_splits, 
     assert np.array_equal(a, b)
 
 
-def test_evaluate_scores_clipped_regression(task_micro, task_tokenizer, small_splits):
+def test_evaluate_scores_raw_regression(task_micro, task_tokenizer, small_splits):
     cfg, params = task_micro
     model = attach_head(cfg, params, "regression", seed=1)
     encoded = encode_all(task_tokenizer, small_splits[1])
-    # centre the raw outputs on the top of STS's label range, so half get clipped
+    # centre the raw outputs on the top of STS's label range, so half lie above it
     model.params["head.b"].data += np.float32(5.0 - np.median(predict(model, encoded)[0]))
     (raw,) = predict(model, encoded)
     assert raw.min() < 5.0 < raw.max()
-    (score,) = ft.evaluate(model, encoded, raw, STS)
+    gold = np.clip(raw, 1.0, 5.0)  # labels within the range
+    (score,) = ft.evaluate(model, encoded, gold, STS)
     assert isinstance(score, float)
-    assert score == pearson(list(np.clip(raw, 1.0, 5.0)), list(raw))
-    assert score < pearson(list(raw), list(raw))
+    assert score == pearson(list(raw), list(gold))
+    assert score < pearson(list(gold), list(gold))  # which clipped predictions would score
 
 
 def test_evaluate_casts_classification_labels_to_int(task_micro, task_tokenizer, small_splits):
@@ -895,8 +897,11 @@ def nan_head(model, g, gp):
 
 def constant_regression(model, g, gp):
     if gp.lr == 3e-3 and gp.precision == "fp16":
-        model.params["head.w"].data[g] = 0.0
-        model.params["head.b"].data[g] = 100.0  # clipped to 5.0 on every example
+        # the last layer's output, and so the CLS state, is 0; with head.w 0
+        # no gradient reaches either, so every output is head.b at every epoch
+        last = f"layer{model.config.num_layers - 1}.ffn.ln"
+        for name in (f"{last}.gain", f"{last}.bias", "head.w"):
+            model.params[name].data[g] = 0.0
 
 
 def always_class_one(model, g, gp):  # and the other slices always class 0

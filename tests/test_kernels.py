@@ -19,6 +19,7 @@ from scipy.special import erf
 from test_autodiff import assert_grad_matches, t64
 
 from lusoforge import autodiff as ad
+from lusoforge import optim
 from lusoforge.autodiff import Tensor, backward
 from lusoforge.encoder import bucket_matrix
 from lusoforge.errors import NumericalError, ShapeError
@@ -240,6 +241,46 @@ def test_adam_updates_each_array_in_place():
     opt.step()
     assert params["w"].data is data
     assert opt.m["w"] is m and opt.v["w"] is v
+
+
+def adam_run(monkeypatch, block, lr, weight_decay, shapes, poison=None):
+    """(errors of each step, final params, m and v) of three Adam steps at
+    the module's block size `block`; `poison(step, grads)` edits the grads."""
+    monkeypatch.setattr(optim, "_BLOCK", block)
+    params, _ = param_pair(shapes, np.float32, 4)
+    opt = Adam(params, lr=lr, weight_decay=weight_decay)
+    rng = np.random.default_rng(5)
+    errors = []
+    for step in range(3):
+        for name, shape in shapes.items():
+            params[name].grad = rng.normal(size=shape).astype(np.float32)
+        if poison is not None:
+            poison(step, params)
+        errors.append([str(e) for e in opt.step() if e is not None] if np.ndim(lr) else [])
+    return errors, [{k: a.tobytes() for k, a in d.items()}
+                    for d in ({k: p.data for k, p in params.items()}, opt.m, opt.v)]
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_bits_do_not_depend_on_the_block(monkeypatch, weight_decay):
+    shapes = {"w": (5, 8), "layer.b": (8,), "one": (1,)}  # w is 2.5 blocks of 16
+    runs = [adam_run(monkeypatch, block, 3e-3, weight_decay, shapes) for block in (16, 1, 1 << 30)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_adam_bits_of_a_stacked_group_do_not_depend_on_the_block(monkeypatch):
+    # three slices at their own rates; at its second step slice 1 meets a
+    # non-finite gradient in the third block of w, and that slice alone stays
+    shapes = {"w": (3, 5, 8), "layer.b": (3, 8)}  # w is 2.5 blocks of 48, 16 columns each
+
+    def poison(step, params):
+        if step == 1:
+            params["w"].grad[1].flat[37] = np.inf
+
+    runs = [adam_run(monkeypatch, block, [1e-3, 3e-3, 0.5], 0.01, shapes, poison)
+            for block in (48, 1, 1 << 30)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == [[], ["non-finite gradient in parameter 'w'"], []]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

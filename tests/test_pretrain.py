@@ -3,6 +3,7 @@ log, checkpointing, and short end-to-end training runs."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -291,6 +292,17 @@ def test_checkpoint_file_is_byte_deterministic(tmp_path, micro_config):
     save_checkpoint(p1, micro_config, enc.params)
     save_checkpoint(p2, micro_config, enc.params)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # the on-disk format: a writer that changed these bytes would write files
+    # that other versions of the program read differently, or refuse
+    config = preset("micro")
+    path = tmp_path / "micro.ckpt"
+    save_checkpoint(path, config, init_params(config, np.random.default_rng(0)),
+                    meta={"step": 7, "epoch": 1, "note": "pinned"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4d4345546168e6ee7455f84781710e094ea7183de6dd466814a33cb51574f2d9")
 
 
 def test_checkpoint_truncation_detected(tmp_path, micro_config):

@@ -40,3 +40,6 @@ def test_profile_of_a_tiny_eval_prints_the_block_table(tmp_path):
     assert rows["encoder.ffn.fwd_ms"] > 0.0
     assert rows["finetune.predict_examples"] == 8
     assert rows["optim.steps"] == 0
+    # eval starts no worker, and this process has no other child
+    assert rows["peak_rss_mb"] > 0.0
+    assert rows["workers_peak_rss_mb"] == 0.0
