@@ -432,23 +432,27 @@ def _cmd_eval(args, file_cfg: dict, man: RunManifest, out: Path):
 def _cmd_report(args, file_cfg: dict, man: RunManifest, out: Path):
     if not args.loss_log and not args.metrics:
         raise UsageError("report needs --loss-log and/or --metrics")
+    scores = []
+    for path in args.metrics or ():
+        payload = _read_json_object(path, "metrics report")
+        if not (isinstance(payload.get("task"), str)
+                and type(payload.get("reported_test_score", "")) in (int, float, type(None))):
+            raise DataError(f"metrics report {path} must hold a task name and a "
+                            "numeric or null reported_test_score")
+        if payload["task"] in dict(scores):
+            raise UsageError(f"report --metrics gives task {payload['task']!r} twice")
+        scores.append((payload["task"], payload["reported_test_score"]))
+    losslog = pt.LossLog.from_csv(args.loss_log) if args.loss_log else None  # read before writing
     outputs = []
-    if args.loss_log:
-        losslog = pt.LossLog.from_csv(args.loss_log)
+    if losslog:
         emit_loss_curve(losslog, out / "loss_curve.csv", out / "loss_curve.svg")
         outputs += [out / "loss_curve.csv", out / "loss_curve.svg"]
         print(f"rendered {len(losslog)} log records -> {out / 'loss_curve.svg'}")
-    if args.metrics:
-        payload = _read_json_object(args.metrics, "metrics report")
-        if not (isinstance(payload.get("task"), str)
-                and type(payload.get("reported_test_score", "")) in (int, float, type(None))):
-            raise DataError(f"metrics report {args.metrics} must hold a task name and a "
-                            "numeric or null reported_test_score")
-        pair = (payload["task"], payload["reported_test_score"])
-        (out / "summary.csv").write_text(ft.report_csv_summary([pair]), encoding="utf-8")
+    if scores:
+        (out / "summary.csv").write_text(ft.report_csv_summary(scores), encoding="utf-8")
         outputs.append(out / "summary.csv")
         print(f"summary -> {out / 'summary.csv'}")
-    _write_manifest(man, out, {}, [args.loss_log, args.metrics], outputs)
+    _write_manifest(man, out, {}, [args.loss_log, *(args.metrics or ())], outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +534,7 @@ def build_parser() -> _Parser:
 
     rp = sub.add_parser("report", help="render artifacts from existing logs")
     rp.add_argument("--loss-log", dest="loss_log", type=Path, default=None)
-    rp.add_argument("--metrics", type=Path, default=None)
+    rp.add_argument("--metrics", type=Path, nargs="+", default=None)
     _finish(rp, _cmd_report)
 
     return parser

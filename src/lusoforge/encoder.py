@@ -137,11 +137,13 @@ def param_shapes(config: EncoderConfig, head_type: str | None = None) -> dict[st
 
 
 def init_tensor(name: str, shape: tuple, rng: np.random.Generator, dtype) -> Tensor:
-    """A fresh trainable tensor: normal(0, 0.02) with two or more dimensions,
-    else ones for a gain and zeros for any other vector."""
-    data = (rng.normal(0.0, 0.02, size=shape) if len(shape) > 1
-            else np.ones(shape) if name.endswith("gain") else np.zeros(shape))
-    return Tensor(data, requires_grad=True, dtype=dtype)
+    """A fresh trainable tensor: normal(0, 0.02), drawn in float64 blocks, with
+    two or more dimensions, else ones for a gain and zeros for any other vector."""
+    data = np.ones(shape, dtype) if name.endswith("gain") else np.zeros(shape, dtype)
+    if len(shape) > 1:
+        for block in np.split(data.reshape(-1), range(1 << 16, data.size, 1 << 16)):
+            block[...] = rng.normal(0.0, 0.02, size=block.size)
+    return Tensor(data, requires_grad=True)
 
 
 def init_params(config: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:

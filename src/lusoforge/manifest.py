@@ -38,6 +38,31 @@ def peak_rss_mb() -> dict[str, float]:
                              ("workers_peak_rss_mb", resource.RUSAGE_CHILDREN))}
 
 
+def openblas_calls(names: tuple[str, ...], *args: int) -> list[int]:
+    """Call, with int `args`, the first function of `names` that each OpenBLAS
+    this process has loaded exports (numpy's bundled `libscipy_openblas64_*.so`),
+    and return each call's result read as a C int, which means nothing for a
+    setter: an empty list without an OpenBLAS. `workers` pins threads with it."""
+    import ctypes  # here, so importing the package does no more work
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            # the path is the last field of a mapping line
+            paths = sorted({line.split(None, 5)[-1].strip() for line in f if "openblas" in line})
+    except OSError:
+        return []
+    results = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded, so this returns the same handle
+        except OSError:
+            continue
+        function = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+        if function is not None:
+            results.append(function(*args))
+    return results
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -57,8 +82,8 @@ class RunManifest:
 
     def write(self, path: str | Path):
         """Stamp `finished_at` unless it is set, then write atomically: to a
-        sibling temp file, renamed over the target. The record adds
-        `peak_rss_mb` and the library versions."""
+        sibling temp file, renamed over the target. The record adds `peak_rss_mb`,
+        the library versions and the OpenBLAS thread count (null without one)."""
         import platform
 
         import numpy
@@ -66,7 +91,8 @@ class RunManifest:
 
         if not self.finished_at:
             self.finished_at = _now()
-        record = {**asdict(self), **peak_rss_mb(),
+        threads = openblas_calls(("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"))
+        record = {**asdict(self), **peak_rss_mb(), "blas_threads": (threads or [None])[0],
                   "versions": {"python": platform.python_version(),
                                "numpy": numpy.__version__, "scipy": scipy.__version__}}
         path = Path(path)

@@ -9,9 +9,9 @@ accumulation-equivalence property exact rather than approximate.
 
 The micro-batches of an optimizer step are data-parallel: `train` computes
 them in forked worker processes (`workers.fork_pool`), one per usable CPU up
-to accumulation_steps, over parameters that live in shared memory. Each
-micro-batch's gradient lands in its own shared slab, and the parent sums the
-slabs in micro-batch order before it runs Adam. Dropout is keyed per
+to accumulation_steps, over parameters that live in shared memory. The
+micro-batches add their gradients into one shared gradient in turn, in
+micro-batch order, and Adam reads that gradient. Dropout is keyed per
 (optimizer step, micro-batch index), as masking is per (epoch, sequence).
 So neither the masks nor the sum order depend on the worker count, and the
 outputs are the same bytes with one CPU, where the same per-micro-batch
@@ -283,47 +283,59 @@ def _mask_epoch(
     return masked, labels
 
 
-def _regions(params: dict[str, ad.Tensor], count: int, shared: bool) -> list[dict[str, np.ndarray]]:
-    """`count` regions of one allocation, each holding an array shaped like
-    every parameter (64-byte aligned), as one name -> array dict per region.
-    A shared allocation is seen alike by processes forked after it."""
+def _regions(params: dict[str, ad.Tensor]):
+    """The parameters' home and their gradient, two name -> array dicts of
+    one zeroed anonymous shared mapping (64-byte aligned), and a reached flag
+    per parameter at its end. Processes forked later share the same memory."""
+    import mmap
+
     offsets, size = {}, 0
     for name, p in params.items():
         offsets[name] = size
         size += -(-p.data.nbytes // 64) * 64
-    if shared:
-        from lusoforge.workers import shared_bytes
-
-        memory = shared_bytes(count * size)
-    else:
-        memory = np.empty(count * size, dtype=np.uint8)
-    return [{name: memory[r * size + offsets[name] : r * size + offsets[name] + p.data.nbytes]
-             .view(p.data.dtype).reshape(p.data.shape) for name, p in params.items()}
-            for r in range(count)]
+    memory = np.frombuffer(mmap.mmap(-1, 2 * size + len(params)), dtype=np.uint8)
+    homes, grads = [{name: memory[r * size + offsets[name] :][: p.data.nbytes]
+                     .view(p.data.dtype).reshape(p.data.shape) for name, p in params.items()}
+                    for r in range(2)]
+    return homes, grads, memory[2 * size:]
 
 
-def _micro_batch_gradient(model: DisentangledEncoder, slabs: list[dict[str, np.ndarray]],
-                          dropout_entropy: int | None, step: int, k: int, batch: Batch,
-                          total_count: int) -> tuple[float, list[str]]:
-    """Write the gradient of micro-batch `k` of optimizer step `step`, divided
-    by the window's `total_count` of predicted tokens, into `slabs[k]`.
-    Return the micro-batch's summed NLL and the names of the parameters it
-    reached. Dropout draws from a generator keyed by (step, k), so the masks
-    do not depend on the process that runs the micro-batch."""
-    rng = None
-    if dropout_entropy is not None:
-        rng = np.random.default_rng(np.random.SeedSequence([dropout_entropy, step, k]))
-    select = batch.labels != ad.IGNORE_INDEX
-    logits = model.mlm_logits(batch.ids, attn_mask=batch.attn_mask, rng=rng, select=select)
-    loss = ad.cross_entropy(logits, batch.labels[select], reduction="sum")
-    ad.backward(ad.scale(loss, 1.0 / total_count))
-    reached = []
-    for name, p in model.params.items():
-        if p.grad is not None:
-            slabs[k][name][...] = p.grad
-            p.grad = None
-            reached.append(name)
-    return float(loss.data), reached
+def _micro_batch_gradient(model: DisentangledEncoder, grads: dict[str, np.ndarray],
+                          reached: np.ndarray, turns: list, dropout_entropy: int | None,
+                          step: int, k: int, batch: Batch, total_count: int) -> float:
+    """Add the gradient of micro-batch `k` of optimizer step `step`, divided
+    by the window's `total_count` of predicted tokens, into `grads`, and
+    return its summed NLL (0 without a predicted token). The gradient is
+    computed privately; the add waits for `turns[k - 1]`, copies each
+    parameter no earlier micro-batch `reached` and adds the others, and
+    `turns[k]` is released even on an error. Inline, `turns` is empty and
+    nothing waits. Dropout draws from a generator keyed by (step, k), so the
+    masks do not depend on the process that runs the micro-batch."""
+    try:
+        nll = 0.0
+        select = batch.labels != ad.IGNORE_INDEX
+        if select.any():
+            rng = None
+            if dropout_entropy is not None:
+                rng = np.random.default_rng(np.random.SeedSequence([dropout_entropy, step, k]))
+            logits = model.mlm_logits(batch.ids, attn_mask=batch.attn_mask, rng=rng, select=select)
+            loss = ad.cross_entropy(logits, batch.labels[select], reduction="sum")
+            ad.backward(ad.scale(loss, 1.0 / total_count))
+            nll = float(loss.data)
+        if turns and k:
+            turns[k - 1].acquire()
+        for i, (name, p) in enumerate(model.params.items()):
+            if p.grad is not None:  # ((g0 + g1) + g2) + ..., as one large batch sums
+                if reached[i]:
+                    grads[name] += p.grad
+                else:
+                    grads[name][...] = p.grad
+                    reached[i] = 1
+                p.grad = None
+        return nll
+    finally:
+        if turns:
+            turns[k].release()
 
 
 @contextmanager
@@ -373,11 +385,12 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer,
     aborts with the most recent periodic checkpoint left on disk.
 
     The micro-batches of a step run in `min(accumulation_steps, usable CPUs)`
-    forked workers, or here when that is 1. The parameters live in memory
-    the workers share, and Adam updates them in place, so no worker needs a
-    copy. Each micro-batch's gradient goes to its own slab, and the slabs
-    are summed left to right in micro-batch order; a micro-batch with no
-    predicted token is skipped, and a parameter none of them reached gets no
+    forked workers, or here when that is 1. The parameters and one gradient
+    live in memory the workers share, and Adam updates the parameters in
+    place, so no worker needs a copy. The micro-batches take turns, in
+    micro-batch order, to add into the gradient, so the sum runs left to right
+    and memory does not grow with accumulation_steps. A micro-batch with no
+    predicted token adds nothing, and a parameter none of them reached gets no
     update. Dropout is keyed by (optimizer step, micro-batch index). So the
     outputs are the same bytes at any worker count. A dead worker is a
     DataError, again with the last periodic checkpoint left on disk, and no
@@ -398,7 +411,11 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer,
 
     window = config.accumulation_steps
     workers = min(window, len(os.sched_getaffinity(0)))
-    homes, *slabs = _regions(params, 1 + window, shared=workers > 1)
+    homes, grads, reached = _regions(params)
+    turns = []  # turns[k] is released once micro-batch k has added its gradient
+    if workers > 1:  # made before the pool forks, so every worker shares them
+        import multiprocessing
+        turns = [multiprocessing.get_context("fork").Semaphore(0) for _ in range(window)]
     for name, view in homes.items():  # from here on, p.data is never rebound
         view[...] = params[name].data
         params[name].data = view
@@ -408,7 +425,7 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer,
     shuffle_rng = np.random.default_rng(shuffle_ss)
     mask_entropy = int(mask_ss.generate_state(1, dtype=np.uint64)[0])
     dropout_entropy = int(dropout_ss.generate_state(1, dtype=np.uint64)[0])
-    job = partial(_micro_batch_gradient, model, slabs,
+    job = partial(_micro_batch_gradient, model, grads, reached, turns,
                   dropout_entropy if enc_config.dropout_rate > 0 else None)
 
     out_dir = Path(config.out_dir) if config.out_dir else None
@@ -433,20 +450,14 @@ def train(config: TrainRunConfig, corpus: Iterable, tokenizer,
                 total_count = sum(int((b.labels != ad.IGNORE_INDEX).sum()) for b in micro)
                 if total_count == 0:
                     continue
-                # an all-ignored micro-batch has zero loss and no gradient
-                calls = [(step + 1, k, b, total_count) for k, b in enumerate(micro)
-                         if (b.labels != ad.IGNORE_INDEX).any()]
                 opt.zero_grad()
-                results = run(calls)
-                for (_, k, _, _), (_, reached) in zip(calls, results):
-                    # ((g0 + g1) + g2) + ..., summed into the first slab that has it
-                    for name in reached:
-                        p = params[name]
-                        if p.grad is None:
-                            p.grad = slabs[k][name]
-                        else:
-                            p.grad += slabs[k][name]
-                mean_loss = sum(nll for nll, _ in results) / total_count
+                reached[...] = 0
+                mean_loss = sum(run([(step + 1, k, b, total_count)
+                                     for k, b in enumerate(micro)])) / total_count
+                if turns:  # the last micro-batch's turn passes to no one
+                    turns[len(micro) - 1].acquire()
+                for i, (name, p) in enumerate(params.items()):  # Adam reads the shared sum
+                    p.grad = grads[name] if reached[i] else None
                 if not np.isfinite(mean_loss):
                     raise NumericalError(
                         f"non-finite loss {mean_loss} at optimizer step {step + 1}; "

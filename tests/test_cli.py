@@ -145,10 +145,11 @@ def test_dead_pretraining_worker_is_one_data_error_line(ws, tmp_path, monkeypatc
     parent = os.getpid()
     real = pt._micro_batch_gradient
 
-    def crash(model, slabs, dropout_entropy, step, k, batch, total_count):
+    def crash(*args):
+        step = args[-4]  # each call passes (step, k, batch, total_count)
         if step == 2 and os.getpid() != parent:
             os._exit(1)
-        return real(model, slabs, dropout_entropy, step, k, batch, total_count)
+        return real(*args)
 
     monkeypatch.setattr(pt, "_micro_batch_gradient", crash)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -554,6 +555,18 @@ def test_pretrain_artifacts(ws):
     assert len(man["outputs"]) == 4
 
 
+def _openblas_threads() -> int:
+    """The thread count of numpy's bundled OpenBLAS in this process, read with ctypes."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        paths = sorted({line.split(None, 5)[-1].strip() for line in f
+                        if "libscipy_openblas64_" in line})
+    if not paths:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    return ctypes.CDLL(paths[0]).scipy_openblas_get_num_threads64_()
+
+
 def test_manifest_spans_the_run(ws, tmp_path, monkeypatch):
     real = cli.pt.train
     took = []
@@ -583,6 +596,8 @@ def test_manifest_spans_the_run(ws, tmp_path, monkeypatch):
         assert man["workers_peak_rss_mb"] > 0
     assert man["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
                                "scipy": scipy.__version__}
+    # the thread count of numpy's bundled OpenBLAS, read as `main` wrote the manifest
+    assert man["blas_threads"] == _openblas_threads() and man["blas_threads"] >= 1
 
 
 def test_manifest_of_a_run_without_workers_records_no_worker_memory(ws, tmp_path):
@@ -599,6 +614,14 @@ def test_manifest_of_a_run_without_workers_records_no_worker_memory(ws, tmp_path
     man = json.loads((out / "manifest.json").read_text())
     assert man["peak_rss_mb"] > 0
     assert man["workers_peak_rss_mb"] == 0
+
+
+def test_a_manifest_without_openblas_records_null_blas_threads(tmp_path, monkeypatch):
+    import lusoforge.manifest as manifest
+
+    monkeypatch.setattr(manifest, "openblas_calls", lambda names, *args: [])
+    manifest.RunManifest("report").write(tmp_path / "manifest.json")
+    assert json.loads((tmp_path / "manifest.json").read_text())["blas_threads"] is None
 
 
 def _continue_pretraining(ws, out, checkpoint, *extra):
@@ -671,27 +694,50 @@ def test_finetune_artifacts(ws):
     assert man["config"]["task"] == "rte"
 
 
+def _full_grid_sweep(task: str, root: Path) -> Path:
+    """`sweep --grid full` of `task` on a fresh micro checkpoint and synthetic
+    examples under `root`; the path of its metrics report."""
+    spec = TASKS[task]
+    train, test = synthetic_task_examples(spec, 64, seed=5), synthetic_task_examples(spec, 16, seed=6)
+    write_task_tsv(train, root / "train.tsv", spec)
+    write_task_tsv(test, root / "test.tsv", spec)
+    tokenizer = tok_mod.train_tokenizer([e.sentence_a for e in train] + [e.sentence_b for e in train],
+                                        vocab_size=128)
+    tok_mod.save_tokenizer(tokenizer, root / "vocab.json")
+    config = preset("micro", vocab_size=tokenizer.vocab_size)
+    save_checkpoint(root / "fresh.ckpt", config, init_params(config, np.random.default_rng(0)))
+    assert cli.main(["sweep", "--task", task, "--checkpoint", str(root / "fresh.ckpt"),
+                     "--tokenizer", str(root / "vocab.json"),
+                     "--train", str(root / "train.tsv"), "--test", str(root / "test.tsv"),
+                     "--grid", "full", "--epochs", "2", "--seq-len", "32",
+                     "--out", str(root / "out")]) == 0
+    report = json.loads((root / "out" / "metrics_report.json").read_text())
+    assert [r["status"] for r in report["runs"]] == ["ok"] * 36
+    assert report["selected_config"] is not None
+    return root / "out" / "metrics_report.json"
+
+
 @pytest.mark.parametrize("task", ["sts", "stsb"])
 def test_a_full_grid_sweep_of_a_regression_task_fails_no_run(task, tmp_path):
     # a fresh head's outputs lie below sts's label range [1, 5]; clipped to it,
     # they were constant, and Pearson failed every sts run
-    spec = TASKS[task]
-    train, test = synthetic_task_examples(spec, 64, seed=5), synthetic_task_examples(spec, 16, seed=6)
-    write_task_tsv(train, tmp_path / "train.tsv", spec)
-    write_task_tsv(test, tmp_path / "test.tsv", spec)
-    tokenizer = tok_mod.train_tokenizer([e.sentence_a for e in train] + [e.sentence_b for e in train],
-                                        vocab_size=128)
-    tok_mod.save_tokenizer(tokenizer, tmp_path / "vocab.json")
-    config = preset("micro", vocab_size=tokenizer.vocab_size)
-    save_checkpoint(tmp_path / "fresh.ckpt", config, init_params(config, np.random.default_rng(0)))
-    assert cli.main(["sweep", "--task", task, "--checkpoint", str(tmp_path / "fresh.ckpt"),
-                     "--tokenizer", str(tmp_path / "vocab.json"),
-                     "--train", str(tmp_path / "train.tsv"), "--test", str(tmp_path / "test.tsv"),
-                     "--grid", "full", "--epochs", "2", "--seq-len", "32",
-                     "--out", str(tmp_path / "out")]) == 0
-    report = json.loads((tmp_path / "out" / "metrics_report.json").read_text())
-    assert [r["status"] for r in report["runs"]] == ["ok"] * 36
-    assert report["selected_config"] is not None
+    _full_grid_sweep(task, tmp_path)
+
+
+def test_report_tabulates_full_grid_sweeps_of_the_five_tasks(tmp_path):
+    # the paper's results table: every task kind swept, then one row of scores
+    tasks = ("rte", "wnli", "mrpc", "sts", "stsb")
+    reports = []
+    for task in tasks:
+        (tmp_path / task).mkdir()
+        reports.append(str(_full_grid_sweep(task, tmp_path / task)))
+    assert cli.main(["report", "--metrics", *reports, "--out", str(tmp_path / "table")]) == 0
+    header, row = (tmp_path / "table" / "summary.csv").read_text().splitlines()
+    assert header == "model," + ",".join(tasks)
+    scores = row.split(",")
+    assert scores[0] == "encoder" and len(scores) == 6
+    for task, path, score in zip(tasks, reports, scores[1:]):
+        assert float(score) == json.loads(Path(path).read_text())["reported_test_score"], task
 
 
 def test_finetuned_checkpoint_is_encoder_only(ws):
@@ -877,6 +923,54 @@ def test_report_from_metrics(tmp_path):
                        encoding="utf-8")
     assert cli.main(["report", "--metrics", str(metrics), "--out", str(out)]) == 0
     assert (out / "summary.csv").read_text() == "model,rte\nencoder,\n"
+
+
+def _metrics_reports(tmp_path, *scores):
+    """One metrics report file per (task, score), as the paths' strings."""
+    paths = []
+    for n, (task, score) in enumerate(scores):
+        path = tmp_path / f"metrics_{n}_{task}.json"
+        path.write_text(json.dumps({"task": task, "reported_test_score": score}),
+                        encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def test_report_writes_one_row_over_several_metrics_reports(tmp_path):
+    paths = _metrics_reports(tmp_path, ("sts", 0.75), ("rte", 0.5), ("wnli", None),
+                             ("mrpc", 1), ("stsb", -0.125))
+    out = tmp_path / "rep"
+    assert cli.main(["report", "--metrics", *paths, "--out", str(out)]) == 0
+    # a column per task, in the order the reports were given
+    assert (out / "summary.csv").read_text() == (
+        "model,sts,rte,wnli,mrpc,stsb\nencoder,0.75,0.5,,1,-0.125\n")
+    man = json.loads((out / "manifest.json").read_text())
+    assert sorted(man["input_digests"]) == sorted(paths)
+
+
+def test_report_refuses_a_task_given_twice(tmp_path, capsys):
+    paths = _metrics_reports(tmp_path, ("rte", 0.5), ("sts", 0.75), ("rte", 0.625))
+    out = tmp_path / "rep"
+    capsys.readouterr()
+    assert cli.main(["report", "--metrics", *paths, "--out", str(out)]) == 1
+    lines = _one_error_line(capsys)
+    assert len(lines) == 1 and lines[0].startswith("usage error:") and "'rte'" in lines[0]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("form", ["missing", "empty", "truncated", "wrong-kind", "schema"])
+def test_a_bad_metrics_report_among_good_ones_writes_nothing(ws, tmp_path, capsys, form):
+    first, bad, last = _metrics_reports(tmp_path, ("rte", 0.5), ("sts", 0.75), ("wnli", 0.25))
+    Path(bad).unlink()
+    _bad_text(form, json.dumps({"task": "sts", "reported_test_score": 0.75}), ws, Path(bad),
+              json.dumps({"task": "sts", "reported_test_score": "high"}))
+    out = tmp_path / "rep"
+    capsys.readouterr()
+    assert cli.main(["report", "--loss-log", str(ws["pre"] / "loss_log.csv"),
+                     "--metrics", first, bad, last, "--out", str(out)]) == 2
+    lines = _one_error_line(capsys)
+    assert len(lines) == 1 and lines[0].startswith("data error:") and bad in lines[0], lines
+    assert list(out.iterdir()) == []  # not even the loss curve of the good --loss-log
 
 
 def _no_work(monkeypatch, *names):

@@ -1,4 +1,5 @@
-"""Checkpoint I/O holds one tensor in flight and an Adam step one block.
+"""Checkpoint I/O holds one tensor in flight, an Adam step one block, and a
+fresh model no float64 copy of its weights.
 
 numpy reports its buffers to `tracemalloc`, so the traced peak of a call's
 new allocations bounds what the call holds beyond its inputs. The tiny
@@ -62,3 +63,12 @@ def test_an_adam_step_adds_no_parameter_sized_scratch(tiny):
     _, peak = traced_peak(opt.step)
     assert opt.t == 1
     assert peak < MIB
+
+
+def test_initializing_holds_no_float64_copy(tiny):
+    config, reference = tiny
+    params, peak = traced_peak(lambda: init_params(config, np.random.default_rng(0)))
+    size = sum(p.data.nbytes for p in params.values())
+    assert size == sum(p.data.nbytes for p in reference.values())
+    assert all(p.data.dtype == np.float32 for p in params.values())
+    assert peak < size + MIB

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -544,3 +545,151 @@ def test_worker_exception_keeps_its_type(toy_sentences_module, toy_tokenizer_mod
     with pytest.raises(ShapeError, match="planted in a worker"):
         train(cfg, toy_sentences_module, toy_tokenizer_module)
     assert multiprocessing.active_children() == []
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail the block, killing every worker, if it runs longer than `seconds`:
+    a worker stuck waiting for its turn would keep its pool from shutting down."""
+    import multiprocessing
+    import signal
+
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+        raise TimeoutError(f"training still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_failing_micro_batch_passes_its_turn_on(toy_sentences_module, toy_tokenizer_module,
+                                                  monkeypatch):
+    # micro-batch 0 raises in one worker while micro-batch 1 waits for its
+    # turn in the other: the error ends the run, and no worker is left waiting
+    import multiprocessing
+    import os
+    import time
+
+    import lusoforge.pretrain as pt
+    from lusoforge.errors import ShapeError
+
+    parent = os.getpid()
+    real = pt._micro_batch_gradient
+
+    class Failing:
+        def mlm_logits(self, *args, **kwargs):
+            time.sleep(0.5)  # long enough for micro-batch 1 to reach its turn
+            raise ShapeError("planted in micro-batch 0")
+
+    def fail(model, *args):
+        k = args[-3]  # each call passes (step, k, batch, total_count)
+        return real(Failing() if k == 0 and os.getpid() != parent else model, *args)
+
+    monkeypatch.setattr(pt, "_micro_batch_gradient", fail)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = TrainRunConfig(seed=4, preset="micro", seq_len=32, micro_batch_size=4,
+                         accumulation_steps=2, peak_lr=1e-3, warmup_steps=1, total_steps=3,
+                         dropout_rate=0.0, checkpoint_every=0)
+    with _deadline(60), pytest.raises(ShapeError, match="planted in micro-batch 0"):
+        train(cfg, toy_sentences_module, toy_tokenizer_module)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_micro_batch_without_a_predicted_token_keeps_the_bytes(toy_sentences_module,
+                                                                 toy_tokenizer_module,
+                                                                 tmp_path, monkeypatch):
+    # the middle micro-batch of every window adds nothing, yet holds its turn
+    import multiprocessing
+    import os
+
+    import lusoforge.pretrain as pt
+
+    real = pt.make_batches
+
+    def hollow_middles(*args, **kwargs):
+        batches = real(*args, **kwargs)
+        for b in batches[1::3]:
+            b.labels[...] = -100
+        return batches
+
+    monkeypatch.setattr(pt, "make_batches", hollow_middles)
+    cfg = dict(seed=5, preset="micro", seq_len=32, micro_batch_size=2, accumulation_steps=3,
+               peak_lr=1e-3, warmup_steps=1, total_steps=4, dropout_rate=0.1,
+               checkpoint_every=2)
+    prints = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"cpus{cpus}"
+        with _deadline(120):
+            _, log = train(TrainRunConfig(out_dir=str(out), **cfg), toy_sentences_module,
+                           toy_tokenizer_module)
+        assert len(log) == 4 and multiprocessing.active_children() == []
+        prints[cpus] = sha256_of_outputs(out)
+    assert len(prints[1]) == 4 and prints[1] == prints[2]
+
+
+def test_the_shared_memory_does_not_grow_with_accumulation(toy_sentences_module,
+                                                           toy_tokenizer_module, monkeypatch):
+    # one home and one gradient for the parameters, 64-byte aligned, and one
+    # reached flag each, at every accumulation_steps
+    import mmap
+    import os
+
+    sizes = []
+    real = mmap.mmap
+
+    def record(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", record)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for accumulation_steps in (1, 2, 4, 8):
+        cfg = TrainRunConfig(seed=6, preset="micro", seq_len=32, micro_batch_size=2,
+                             accumulation_steps=accumulation_steps, peak_lr=1e-3,
+                             warmup_steps=1, total_steps=1, dropout_rate=0.0,
+                             checkpoint_every=0)
+        with _deadline(120):
+            model, _ = train(cfg, toy_sentences_module, toy_tokenizer_module)
+    expected = (2 * sum(-(-p.data.nbytes // 64) * 64 for p in model.params.values())
+                + len(model.params))
+    assert sizes == [expected] * 4
+
+
+def test_every_turn_is_taken_back_before_adam(toy_sentences_module, toy_tokenizer_module,
+                                              monkeypatch):
+    # 16 micro-batches an epoch in windows of 3 leave a short last window, whose
+    # final turn must not carry into the next epoch's first full window
+    import multiprocessing
+    import os
+
+    from lusoforge.optim import Adam
+
+    fork = multiprocessing.get_context("fork")
+    made, counts = [], []
+    real_semaphore, real_step = type(fork).Semaphore, Adam.step
+
+    def semaphore(context, value=1):
+        made.append(real_semaphore(context, value))
+        return made[-1]
+
+    def step(opt):
+        counts.append([s.get_value() for s in made])
+        real_step(opt)
+
+    monkeypatch.setattr(type(fork), "Semaphore", semaphore)
+    monkeypatch.setattr(Adam, "step", step)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = TrainRunConfig(seed=7, preset="micro", seq_len=32, micro_batch_size=2,
+                         accumulation_steps=3, peak_lr=1e-3, warmup_steps=1, total_steps=8,
+                         dropout_rate=0.0, checkpoint_every=0)
+    with _deadline(120):
+        _, log = train(cfg, toy_sentences_module, toy_tokenizer_module)
+    assert [e.epoch for e in log.entries] == [0] * 6 + [1] * 2
+    assert len(made) == 3 and counts == [[0, 0, 0]] * 8
